@@ -147,7 +147,7 @@ def _load_complex(args) -> SimplicialComplex:
     return clique_complex(edges, max_dim=args.max_dim)
 
 
-def _cmd_build(args) -> tuple[dict, list[str], list[list]]:
+def _cmd_build(args) -> tuple[dict, list[str], list[list], str | None]:
     complex_ = _load_complex(args)
     counts = complex_.counts
     payload = {
@@ -155,21 +155,27 @@ def _cmd_build(args) -> tuple[dict, list[str], list[list]]:
         "counts": {str(n): counts[n] for n in sorted(counts)},
     }
     rows = [[n, counts[n]] for n in sorted(counts)]
-    return payload, ["dim", "count"], rows
+    return payload, ["dim", "count"], rows, None
 
 
-def _cmd_spectrum(args) -> tuple[dict, list[str], list[list]]:
+def _cmd_spectrum(args) -> tuple[dict, list[str], list[list], str | None]:
     complex_ = _load_complex(args)
     report = laplacian_spectrum(complex_, args.dim, kernel_tol=args.tolerance)
     eigenvalues = [float(x) for x in report.eigenvalues]
     payload = {"dim": report.n, "eigenvalues": eigenvalues, "betti": report.betti}
     rows = [[report.n, i, x] for i, x in enumerate(eigenvalues)]
-    return payload, ["dim", "index", "eigenvalue"], rows
+    return payload, ["dim", "index", "eigenvalue"], rows, None
 
 
-def _cmd_walk(args) -> tuple[dict, list[str], list[list]]:
+def _cmd_walk(args) -> tuple[dict, list[str], list[list], str | None]:
     complex_ = _load_complex(args)
-    source = canonical_simplex(int(v) for v in args.source.split(","))
+    try:
+        vertices = [int(v) for v in args.source.split(",")]
+    except ValueError:
+        raise InvalidParameterError(
+            f"--source takes comma-joined vertex ids, got {args.source!r}"
+        ) from None
+    source = canonical_simplex(vertices)
     walk = step_operator(build_walk_space(complex_, args.dim))
     if args.method == "finite":
         table = finite_time_average(walk, source, args.time_steps)
@@ -184,10 +190,10 @@ def _cmd_walk(args) -> tuple[dict, list[str], list[list]]:
         "table": [{"target": _simplex_json(s), "q": q} for s, q in entries],
     }
     rows = [[s, q] for s, q in entries]
-    return payload, ["target", "q"], rows
+    return payload, ["target", "q"], rows, None
 
 
-def _cmd_detect(args) -> tuple[dict, list[str], list[list]]:
+def _cmd_detect(args) -> tuple[dict, list[str], list[list], str | None]:
     complex_ = _load_complex(args)
     partition = detect_communities(
         complex_,
@@ -209,8 +215,8 @@ def _cmd_detect(args) -> tuple[dict, list[str], list[list]]:
         "modularity": modularity,
     }
     rows = [[i, s] for i, com in enumerate(partition) for s in com]
-    payload["_dot"] = _detect_dot(complex_, partition)  # consumed by run()
-    return payload, ["community", "simplex"], rows
+    dot = _detect_dot(complex_, partition) if args.format == "dot" else None
+    return payload, ["community", "simplex"], rows, dot
 
 
 def _detect_dot(complex_, partition) -> str:
@@ -242,7 +248,7 @@ def _detect_dot(complex_, partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_modularity(args) -> tuple[dict, list[str], list[list]]:
+def _cmd_modularity(args) -> tuple[dict, list[str], list[list], str | None]:
     complex_ = _load_complex(args)
     try:
         with open(args.partition, "r", encoding="utf-8") as fh:
@@ -267,10 +273,10 @@ def _cmd_modularity(args) -> tuple[dict, list[str], list[list]]:
     }
     rows = [[i, c] for i, c in enumerate(report.contributions)]
     rows.append(["total", report.modularity])
-    return payload, ["community", "contribution"], rows
+    return payload, ["community", "contribution"], rows, None
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], list[list]]:
+def _cmd_verify(args) -> tuple[dict, list[str], list[list], str | None]:
     complex_ = _load_complex(args)
     report = verify_chain_identities(complex_, args.dim)
     payload = {
@@ -286,7 +292,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], list[list]]:
         ["down_up_zero", report.down_up_zero],
         ["all_hold", report.all_hold],
     ]
-    return payload, ["identity", "holds"], rows
+    return payload, ["identity", "holds"], rows, None
 
 
 _COMMANDS = {
@@ -302,8 +308,7 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> int:
     if args.format == "dot" and args.command != "detect":
         raise InvalidParameterError("dot output is only available for 'detect'")
-    payload, header, rows = _COMMANDS[args.command](args)
-    dot = payload.pop("_dot", None)
+    payload, header, rows, dot = _COMMANDS[args.command](args)
     if args.format == "json":
         _emit(_json_text(payload), args.output)
     elif args.format == "csv":

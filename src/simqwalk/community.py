@@ -201,28 +201,34 @@ class ModularityReport:
 def simplicial_modularity(K: SimplicialComplex, n: int, partition) -> ModularityReport:
     """Modularity of a partition of the n-simplices under lower adjacency.
 
-    Scores ``trace(W.T @ M @ W) / m`` where ``M`` subtracts from the lower
-    adjacency matrix the degree-product baseline ``|N^l(a)|*|N^l(b)| / m``
-    and ``m`` is the total ordered count of lower-adjacent pairs.
+    Scores ``sum_c (e_c - D_c**2 / m) / m``, where ``e_c`` counts the ordered
+    lower-adjacent pairs inside community ``c``, ``D_c`` sums the lower
+    neighborhood sizes of its members, and ``m`` is the total ordered count
+    of lower-adjacent pairs.  This equals ``trace(W.T @ M @ W) / m`` for the
+    membership matrix ``W`` and the modularity matrix ``M`` (the lower
+    adjacency minus the degree-product baseline ``|N^l(a)|*|N^l(b)| / m``).
 
     Raises NoAdjacencyError when ``m`` is zero.
     """
     if n < 1:
         raise InvalidParameterError("modularity is defined for n >= 1")
     part = _normalize_partition(K, n, partition)
-    adjacency = K.adjacency(n, "lower").astype(np.float64)
-    neighbor_counts = adjacency.sum(axis=1)
-    m = int(neighbor_counts.sum())
+    labels = part.labels
+    internal = [0] * len(part.communities)
+    degree = [0] * len(part.communities)
+    for s, nbrs in K.lower_neighbors(n).items():
+        c = labels[s]
+        degree[c] += len(nbrs)
+        internal[c] += sum(1 for t in nbrs if labels[t] == c)
+    m = sum(degree)
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {n}")
-    modularity_matrix = adjacency - np.outer(neighbor_counts, neighbor_counts) / m
-    w = membership_matrix(K, part)
-    per_community = np.diag(w.T @ modularity_matrix @ w) / m
+    per_community = [(e - d * d / m) / m for e, d in zip(internal, degree)]
     return ModularityReport(
         n=n,
-        modularity=float(per_community.sum()),
+        modularity=sum(per_community),
         arc_count=m,
-        contributions=tuple(float(x) for x in per_community),
+        contributions=tuple(per_community),
     )
 
 

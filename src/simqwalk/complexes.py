@@ -374,6 +374,12 @@ def parse_edge_lines(lines: Iterable[str]) -> list[Edge]:
 
 
 def read_edge_list(path) -> list[Edge]:
-    """Read an edge list from a text file (see :func:`parse_edge_lines`)."""
+    """Read an edge list from a text file (see :func:`parse_edge_lines`).
+
+    Raises OSError when the file cannot be read or is not UTF-8 text.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_lines(fh)
+        try:
+            return parse_edge_lines(fh)
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path} is not UTF-8 text: {exc.reason}") from None

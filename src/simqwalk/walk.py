@@ -5,8 +5,14 @@ pair of lower-adjacent n-simplices.  One time step applies a block-diagonal
 Fourier coin (one DFT block per source simplex, sized by its lower
 neighborhood) followed by the shift that swaps every arc with its reverse.
 
+Evolution runs in a degree-class frame: arcs are reordered so that blocks
+of equal degree sit together, and every initial arc of a source evolves at
+once as one column of an ``(m, d)`` block.  A step is then one Fourier
+matmul per degree class (the coin) and one gather along the reverse-arc
+permutation (the shift).
+
 Two estimators of the long-run source-to-target transition behavior are
-provided: a finite-horizon time average obtained by sparse evolution, and
+provided: a finite-horizon time average obtained by batched evolution, and
 the exact infinite-time average obtained from the spectral decomposition of
 the step operator (eigenphase groups handled with orthogonal projectors, so
 degenerate phases are treated correctly).  Both report the degree-normalized
@@ -16,6 +22,7 @@ transition weight whose flat baseline is ``1/m`` on an m-arc space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -60,6 +67,7 @@ class WalkSpace:
     Arcs are grouped contiguously by source simplex (sources in canonical
     order, targets in canonical order inside each group).  Simplices without
     lower neighbors take no part in the walk and are listed separately.
+    ``reverse[i]`` is the index of the reverse of arc ``i``.
     """
 
     n: int
@@ -69,6 +77,7 @@ class WalkSpace:
     neighbors: dict[Simplex, tuple[Simplex, ...]] = field(repr=False)
     arc_index: dict[tuple[Simplex, Simplex], int] = field(repr=False)
     block_start: dict[Simplex, int] = field(repr=False)
+    reverse: np.ndarray = field(repr=False, compare=False)
 
     def __repr__(self) -> str:
         return (
@@ -122,6 +131,12 @@ def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
         block_start[s] = len(arcs)
         arcs.extend((s, t) for t in nbrs[s])
     arc_tuple = tuple(arcs)
+    # Arc (a, b) has key a * |active| + b over canonical positions; the keys
+    # ascend with the arc index, so the reverse arcs are found by bisection.
+    position = {s: i for i, s in enumerate(active)}
+    source = np.repeat(np.arange(len(active)), [len(nbrs[s]) for s in active])
+    target = np.array([position[b] for _, b in arc_tuple], dtype=np.int64)
+    keys = source * len(active) + target
     return WalkSpace(
         n=n,
         arcs=arc_tuple,
@@ -130,6 +145,7 @@ def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
         neighbors={s: nbrs[s] for s in active},
         arc_index={a: i for i, a in enumerate(arc_tuple)},
         block_start=block_start,
+        reverse=np.searchsorted(keys, target * len(active) + source),
     )
 
 
@@ -153,21 +169,74 @@ def coin_operator(space: WalkSpace) -> sp.csr_matrix:
 def shift_operator(space: WalkSpace) -> sp.csr_matrix:
     """Involutive permutation sending each arc ``|a -> b>`` to ``|b -> a>``."""
     m = space.m
-    rows = np.empty(m, dtype=np.int64)
-    for i, (a, b) in enumerate(space.arcs):
-        rows[space.arc_index[(b, a)]] = i
     data = np.ones(m, dtype=np.complex128)
-    return sp.csr_matrix((data, (np.arange(m), rows)), shape=(m, m))
+    return sp.csr_matrix((data, (np.arange(m), space.reverse)), shape=(m, m))
+
+
+@dataclass(frozen=True)
+class _ArcFrame:
+    """The arc order the evolution kernel works in.
+
+    Blocks are grouped into degree classes, in ascending degree.  Inside a
+    class of ``count`` blocks of degree ``k`` the frame is slot-major:
+    position ``offset + a * count + j`` holds arc ``a`` of the class's j-th
+    block.  An ``(m, d)`` state's class slice then reshapes, without a
+    copy, to ``(k, count * d)``, so one ``k x k`` Fourier matmul applies the
+    coin to every block of the class.
+    """
+
+    arcs: np.ndarray  # frame position -> arc index
+    position: np.ndarray  # arc index -> frame position
+    reverse: np.ndarray  # frame position -> frame position of the reverse arc
+    source: np.ndarray  # frame position -> active index of the arc's source
+    classes: tuple[tuple[slice, int, np.ndarray], ...]  # (frame slice, k, coin)
+
+
+def _degrees_array(space: WalkSpace) -> np.ndarray:
+    return np.array([space.degree(s) for s in space.active], dtype=np.int64)
+
+
+def _arc_frame(space: WalkSpace) -> _ArcFrame:
+    degrees = _degrees_array(space)
+    starts = space.block_starts_array()[:-1]
+    parts = [np.zeros(0, dtype=np.int64)]
+    classes = []
+    offset = 0
+    for k in np.unique(degrees).tolist():
+        blocks = np.flatnonzero(degrees == k)
+        parts.append((starts[blocks] + np.arange(k)[:, None]).ravel())
+        classes.append((slice(offset, offset + k * len(blocks)), k, fourier_block(k)))
+        offset += k * len(blocks)
+    arcs = np.concatenate(parts)
+    position = np.empty_like(arcs)
+    position[arcs] = np.arange(space.m)
+    source = np.repeat(np.arange(len(degrees)), degrees)
+    return _ArcFrame(
+        arcs=arcs,
+        position=position,
+        reverse=position[space.reverse[arcs]],
+        source=source[arcs],
+        classes=tuple(classes),
+    )
 
 
 @dataclass(frozen=True)
 class UnitaryWalk:
-    """One-step evolution ``step = shift @ coin`` with its factors."""
+    """One-step evolution ``step = shift @ coin`` with its factors.
+
+    The sparse matrices serve the spectral estimator; evolution runs on
+    ``frame`` instead.
+    """
 
     space: WalkSpace
     coin: sp.csr_matrix
     shift: sp.csr_matrix
     step: sp.csr_matrix
+
+    @cached_property
+    def frame(self) -> _ArcFrame:
+        """The evolution kernel's arc order, built on first use."""
+        return _arc_frame(self.space)
 
 
 def step_operator(space: WalkSpace) -> UnitaryWalk:
@@ -187,8 +256,30 @@ def basis_state(walk: UnitaryWalk, source, target) -> np.ndarray:
     return psi
 
 
+def _evolution(walk: UnitaryWalk, psi: np.ndarray, t_max: int):
+    """Step an ``(m, d)`` frame-ordered state in place ``t_max`` times,
+    yielding it after each step.  The yielded array is overwritten by the
+    next step."""
+    frame = walk.frame
+    coined = np.empty_like(psi)
+    for _ in range(t_max):
+        for part, k, fourier in frame.classes:
+            np.matmul(fourier, psi[part].reshape(k, -1), out=coined[part].reshape(k, -1))
+        # the indices are a permutation, so no index is ever clipped; in
+        # the default mode numpy would copy through a buffer instead of
+        # writing straight into psi
+        np.take(coined, frame.reverse, axis=0, out=psi, mode="clip")
+        yield psi
+
+
+def _arc_mass(psi: np.ndarray) -> np.ndarray:
+    """Squared amplitude on each arc, summed over the state's columns."""
+    parts = psi.view(np.float64)
+    return np.einsum("ij,ij->i", parts, parts)
+
+
 def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
-    """Apply ``t`` walk steps to a state (sparse application, no dense powers)."""
+    """Apply ``t`` walk steps to a state (no matrix powers, no sparse products)."""
     if t < 0:
         raise InvalidParameterError("number of steps must be >= 0")
     psi = np.asarray(state, dtype=np.complex128)
@@ -196,13 +287,22 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
         raise InvalidParameterError(
             f"state has shape {psi.shape}, expected ({walk.space.m},)"
         )
-    for _ in range(t):
-        psi = walk.step @ psi
-    return psi
+    block = psi[walk.frame.arcs, None]
+    for _ in _evolution(walk, block, t):
+        pass
+    return block[walk.frame.position, 0]
 
 
-def _degrees_array(space: WalkSpace) -> np.ndarray:
-    return np.array([space.degree(s) for s in space.active], dtype=np.int64)
+def _source_evolution(walk: UnitaryWalk, source: Simplex, t_max: int):
+    """Evolve every initial arc of an active source together, one column
+    each; returns the source's degree and the step iterator."""
+    if t_max < 1:
+        raise InvalidParameterError("t_max must be >= 1")
+    blk = walk.space.block(source)
+    d = blk.stop - blk.start
+    psi = np.zeros((walk.space.m, d), dtype=np.complex128)
+    psi[walk.frame.position[blk], np.arange(d)] = 1.0
+    return d, _evolution(walk, psi, t_max)
 
 
 def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
@@ -214,24 +314,17 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
     the source's initial arcs, divided by both lower-neighborhood sizes.
     Each row satisfies ``row @ degrees == 1`` (unitarity).
 
-    One sparse evolution per initial arc serves every target simultaneously.
+    One batched evolution of all the source's initial arcs serves every
+    target simultaneously.
     """
-    if t_max < 1:
-        raise InvalidParameterError("t_max must be >= 1")
     space = walk.space
     sx = space.require_active(source)
-    starts = space.block_starts_array()
-    degs = _degrees_array(space)
-    blk = space.block(sx)
-    acc = np.zeros((t_max, len(space.active)))
-    for v in range(blk.start, blk.stop):
-        psi = np.zeros(space.m, dtype=np.complex128)
-        psi[v] = 1.0
-        for t in range(t_max):
-            psi = walk.step @ psi
-            acc[t] += np.add.reduceat(np.abs(psi) ** 2, starts[:-1])
-    d_source = blk.stop - blk.start
-    return acc / (d_source * degs)
+    d_source, steps = _source_evolution(walk, sx, t_max)
+    n_active = len(space.active)
+    profile = np.empty((t_max, n_active))
+    for t, psi in enumerate(steps):
+        profile[t] = np.bincount(walk.frame.source, _arc_mass(psi), minlength=n_active)
+    return profile / (d_source * _degrees_array(space))
 
 
 def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
@@ -262,8 +355,12 @@ def finite_time_average(
     """Average the transition weights over times ``1..time_steps``."""
     space = walk.space
     sx = space.require_active(source)
-    profile = transition_profile(walk, sx, time_steps)
-    mean = profile.mean(axis=0)
+    d_source, steps = _source_evolution(walk, sx, time_steps)
+    mass = np.zeros(space.m)
+    for psi in steps:
+        mass += _arc_mass(psi)
+    total = np.bincount(walk.frame.source, mass, minlength=len(space.active))
+    mean = total / (time_steps * d_source * _degrees_array(space))
     return TransitionTable(
         source=sx,
         estimator=f"finite(T={time_steps})",

@@ -3,7 +3,8 @@
 Everything here is deliberately written against different machinery than the
 implementation under test: adjacency comes from direct vertex-set overlap
 instead of face buckets, evolution from dense matrix powers instead of sparse
-stepping, and components from union-find instead of breadth-first search.
+stepping, components from union-find instead of breadth-first search, and
+modularity from a dense modularity matrix instead of per-community counts.
 """
 
 import itertools
@@ -101,3 +102,22 @@ def finite_average_dense(walk, source, time_steps):
         for target, w in weights.items():
             acc[target] += w
     return {target: w / time_steps for target, w in acc.items()}
+
+
+def modularity_dense(K, n, communities):
+    """Per-community modularity ``diag(W.T @ M @ W) / m``, where ``M`` is the
+    dense pairwise lower adjacency minus the degree-product baseline and
+    ``W`` the 0/1 membership matrix."""
+    simplices = K.simplices(n)
+    adjacency = np.array(
+        [[lower_adjacent(a, b) for b in simplices] for a in simplices], dtype=float
+    )
+    counts = adjacency.sum(axis=1)
+    m = counts.sum()
+    index = {s: i for i, s in enumerate(simplices)}
+    w = np.zeros((len(simplices), len(communities)))
+    for c, members in enumerate(communities):
+        for s in members:
+            w[index[tuple(s)], c] = 1.0
+    modularity_matrix = adjacency - np.outer(counts, counts) / m
+    return np.diag(w.T @ modularity_matrix @ w) / m

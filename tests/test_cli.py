@@ -77,6 +77,13 @@ def test_walk_source_canonicalized(edges_file, tmp_path):
     assert json.loads(text)["source"] == [33, 34]
 
 
+def test_walk_source_not_integers_is_validation_error(edges_file, capsys):
+    assert main(["walk", "--dim", "1", "--source", "1,x", str(edges_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simqwalk: --source takes comma-joined vertex ids")
+    assert err.count("\n") == 1
+
+
 def test_detect_triangles(edges_file, tmp_path):
     code, text = run_cli(
         ["detect", "--dim", "2", "--time-steps", "100", str(edges_file)], tmp_path / "d.json"
@@ -106,6 +113,19 @@ def test_detect_dot_higher_dim_has_table(edges_file, tmp_path):
     assert code == 0
     assert "// 3-simplex communities:" in text
     assert "(9,31,33,34)" in text
+
+
+def test_detect_renders_dot_only_for_dot_format(edges_file, tmp_path, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("DOT rendered for non-DOT output")
+
+    monkeypatch.setattr("simqwalk.cli._detect_dot", unexpected)
+    for fmt in ("json", "csv"):
+        code, _ = run_cli(
+            ["detect", "--dim", "2", "--format", fmt, "--time-steps", "5", str(edges_file)],
+            tmp_path / f"d.{fmt}",
+        )
+        assert code == 0
 
 
 def test_modularity_roundtrip(edges_file, tmp_path):
@@ -217,6 +237,15 @@ def test_detect_without_adjacency_reports_null_modularity(tmp_path):
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["build", str(tmp_path / "missing.txt")]) == 2
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "binary.txt"
+    bad.write_bytes(b"\xff\xfe1 2\n2 3\n")
+    assert main(["build", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simqwalk: i/o error:") and "UTF-8" in err
+    assert err.count("\n") == 1
 
 
 def test_bad_dimension_is_validation_error(edges_file, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,31 @@ def test_single_community_matches_direct_formula(karate):
     m = counts.sum()
     expected = (adjacency - np.outer(counts, counts) / m).sum() / m
     assert report.modularity == pytest.approx(expected, abs=1e-12)
+
+
+def _random_partition(simplices, groups, rng):
+    labels = [rng.randrange(groups) for _ in simplices]
+    communities = [[s for s, c in zip(simplices, labels) if c == g] for g in range(groups)]
+    return [c for c in communities if c]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_modularity_matches_dense_oracle(karate, n):
+    reference = {
+        1: reference_edge_communities(),
+        2: TRIANGLE_COMMUNITIES,
+        3: reference_tetra_communities(karate),
+        4: [FOUR_SIMPLEX_COMMUNITY],
+    }[n]
+    rng = random.Random(n)
+    simplices = karate.simplices(n)
+    partitions = [reference] + [_random_partition(simplices, g, rng) for g in (1, 2, 3, 7)]
+    for communities in partitions:
+        report = simplicial_modularity(karate, n, communities)
+        expected = oracles.modularity_dense(karate, n, communities)
+        assert report.arc_count == karate.arc_count(n)
+        assert np.allclose(report.contributions, expected, rtol=1e-12, atol=1e-15)
+        assert report.modularity == pytest.approx(expected.sum(), rel=1e-12, abs=1e-15)
 
 
 def test_modularity_requires_adjacency(bowtie):

@@ -72,6 +72,8 @@ def test_walk_space_reverse_arcs_present(karate):
     ws = build_walk_space(karate, 2)
     for a, b in ws.arcs:
         assert (b, a) in ws.arc_index
+    for i, (a, b) in enumerate(ws.arcs):
+        assert ws.arcs[ws.reverse[i]] == (b, a)
 
 
 def test_walk_space_grouped_by_source(karate):
@@ -177,6 +179,26 @@ def test_evolve_preserves_norm(bowtie):
     assert abs(np.linalg.norm(out) ** 2 - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_evolve_stays_unitary_over_500_steps(karate, n):
+    # dimension 2 mixes thirteen degree classes, dimension 4 has only
+    # degree-1 blocks
+    walk = walk_on(karate, n)
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(3, walk.space.m)) + 1j * rng.normal(size=(3, walk.space.m))
+    evolved = np.array([evolve(walk, state, 500) for state in states])
+    assert np.abs(evolved.conj() @ evolved.T - states.conj() @ states.T).max() < 1e-9
+
+
+def test_evolve_matches_step_matrix(karate):
+    walk = walk_on(karate, 2)
+    state = np.random.default_rng(5).normal(size=walk.space.m).astype(complex)
+    expected = state
+    for t in range(1, 6):
+        expected = walk.step @ expected
+        assert np.abs(evolve(walk, state, t) - expected).max() < 1e-12
+
+
 def test_evolve_rejects_negative_time(path_complex):
     walk = walk_on(path_complex)
     with pytest.raises(InvalidParameterError):
@@ -230,6 +252,34 @@ def test_finite_average_sum_rule(karate_walk_n2):
     table = finite_time_average(walk, (1, 2, 3), time_steps=25)
     values = np.array([table[s] for s in walk.space.active])
     assert values @ degrees == pytest.approx(1.0, abs=1e-9)
+
+
+def _one_source_per_degree(space, limit):
+    by_degree = {}
+    for s in space.active:
+        by_degree.setdefault(space.degree(s), s)
+    return [by_degree[k] for k in sorted(by_degree)[:limit]]
+
+
+@pytest.mark.parametrize("name,n", [("karate", 2), ("karate", 3), ("karate", 4), ("bowtie", 1)])
+def test_kernel_matches_dense_powers(request, name, n):
+    # degree classes: karate n=2 has 1..13, n=3 has 5 and 8, n=4 only 1;
+    # the bowtie's edges have degrees 2 and 4
+    import oracles
+
+    walk = walk_on(request.getfixturevalue(name), n)
+    space = walk.space
+    degrees = np.array([space.degree(s) for s in space.active])
+    horizon = 6
+    for source in _one_source_per_degree(space, 3):
+        profile = transition_profile(walk, source, horizon)
+        assert np.abs(profile @ degrees - 1.0).max() < 1e-12
+        for t in range(1, horizon + 1):
+            dense = oracles.transition_weights_dense(walk, source, t)
+            assert np.abs(profile[t - 1] - [dense[s] for s in space.active]).max() < 1e-12
+        table = finite_time_average(walk, source, horizon)
+        dense_mean = oracles.finite_average_dense(walk, source, horizon)
+        assert max(abs(table[s] - dense_mean[s]) for s in space.active) < 1e-12
 
 
 def test_isolated_source_rejected(karate_walk_n2):
