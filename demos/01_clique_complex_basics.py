@@ -23,8 +23,8 @@ b1 = triangle.boundary_matrix(1).toarray()
 print("  B1 @ B2 =", (b1 @ b2).ravel())
 
 # Adjacency comes in two flavors: sharing a coface (upper) or a face (lower).
-print("  upper adjacency of edges:\n", triangle.adjacency(1, "upper"))
-print("  lower adjacency of edges:\n", triangle.adjacency(1, "lower"))
+print("  upper adjacency of edges:\n", triangle.adjacency(1, "upper").toarray())
+print("  lower adjacency of edges:\n", triangle.adjacency(1, "lower").toarray())
 
 # The karate-club benchmark: 34 members, 78 ties, and all their cliques.
 karate = karate_club_complex(max_dim=4)

@@ -255,14 +255,16 @@ def _cmd_modularity(args) -> tuple[dict, list[str], list[list], str | None]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"partition file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{args.partition} is not UTF-8 text: {exc.reason}") from None
     try:
         communities = [
             [canonical_simplex(simplex) for simplex in community]
             for community in doc["communities"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(
-            "partition JSON must carry a 'communities' list of simplex lists"
+            f"partition JSON must carry a 'communities' list of simplex lists: {exc}"
         ) from exc
     report = simplicial_modularity(complex_, args.dim, communities)
     payload = {

@@ -80,26 +80,28 @@ class CommunityPartition:
         return frozenset(frozenset(c) for c in self.communities)
 
 
-def _components(
-    all_simplices: tuple[Simplex, ...], neighbor_map: dict[Simplex, tuple[Simplex, ...]]
-) -> tuple[tuple[Simplex, ...], ...]:
-    """Connected components by graph traversal, discovery-ordered."""
-    seen: set[Simplex] = set()
+def _components(K: SimplicialComplex, n: int, flavor: str) -> tuple[tuple[Simplex, ...], ...]:
+    """Connected components of ``K.adjacency(n, flavor)`` by traversal of its
+    CSR arrays, in order of their first simplex."""
+    adjacency = K.adjacency(n, flavor)
+    bounds, indices = adjacency.indptr.tolist(), adjacency.indices.tolist()
+    group = K.simplices(n)
+    seen = [False] * len(group)
     components: list[tuple[Simplex, ...]] = []
-    for root in all_simplices:
-        if root in seen:
+    for root in range(len(group)):
+        if seen[root]:
             continue
-        queue = [root]
-        seen.add(root)
+        seen[root] = True
+        stack = [root]
         members = []
-        while queue:
-            current = queue.pop()
-            members.append(current)
-            for other in neighbor_map[current]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        components.append(tuple(sorted(members)))
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in indices[bounds[i] : bounds[i + 1]]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        components.append(tuple(group[i] for i in sorted(members)))
     return tuple(components)
 
 
@@ -110,21 +112,14 @@ def exact_down_communities(K: SimplicialComplex, n: int) -> CommunityPartition:
     """
     if n < 1:
         raise InvalidParameterError("down communities are defined for n >= 1")
-    comps = _components(K.simplices(n), K.lower_neighbors(n))
-    return CommunityPartition(n=n, communities=comps)
+    return CommunityPartition(n=n, communities=_components(K, n, "lower"))
 
 
 def exact_up_communities(K: SimplicialComplex, n: int) -> CommunityPartition:
     """Connected components of upper adjacency among n-simplices (n >= 0)."""
     if not 0 <= n <= K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
-    group = K.simplices(n)
-    adjacency = K.adjacency(n, "upper")
-    neighbor_map = {
-        s: tuple(group[j] for j in np.nonzero(adjacency[i])[0])
-        for i, s in enumerate(group)
-    }
-    return CommunityPartition(n=n, communities=_components(group, neighbor_map))
+    return CommunityPartition(n=n, communities=_components(K, n, "upper"))
 
 
 @dataclass(frozen=True)

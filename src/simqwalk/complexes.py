@@ -114,9 +114,9 @@ class SimplicialComplex:
             for i, s in enumerate(group)
         }
         self._check_face_closure()
-        # lazy caches, keyed by dimension
+        # lazy caches, keyed by dimension (and flavor)
+        self._adjacency: dict[tuple[int, str], sp.csr_matrix] = {}
         self._lower_nbrs: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
-        self._upper_deg: dict[int, dict[Simplex, int]] = {}
 
     def _check_face_closure(self) -> None:
         for n, group in self._by_dim.items():
@@ -200,51 +200,50 @@ class SimplicialComplex:
 
     # -- adjacency ----------------------------------------------------------
 
-    def adjacency(self, n: int, flavor: str) -> np.ndarray:
-        """Symmetric 0/1 adjacency among n-simplices.
+    def adjacency(self, n: int, flavor: str) -> sp.csr_matrix:
+        """Symmetric 0/1 adjacency among n-simplices, as CSR with sorted indices.
 
-        ``flavor="upper"``: two n-simplices are adjacent when they are faces
-        of a common (n+1)-simplex (all-zero if dimension n+1 is empty).
-        ``flavor="lower"``: adjacent when they share a common (n-1)-face;
-        requires ``n >= 1``.
+        ``flavor="lower"``: adjacent when they share a common (n-1)-face,
+        the off-diagonal support of ``|B_n|.T @ |B_n|``; requires ``n >= 1``.
+        ``flavor="upper"``: adjacent when they are faces of a common
+        (n+1)-simplex, the off-diagonal support of ``|B_{n+1}| @ |B_{n+1}|.T``
+        (no entries when there are no (n+1)-simplices).  Two distinct
+        simplices share at most one face and at most one coface, so every
+        entry is 0 or 1.  Cached per dimension and flavor.
         """
         if flavor not in ("upper", "lower"):
             raise InvalidParameterError(f"unknown adjacency flavor {flavor!r}")
         self._require_dim(n, low=1 if flavor == "lower" else 0)
-        group = self._by_dim[n]
-        size = len(group)
-        a = np.zeros((size, size), dtype=np.int64)
-        if flavor == "upper":
-            for coface in self._by_dim.get(n + 1, ()):
-                members = [self._index[f][1] for f in faces(coface, n)]
-                for i, j in itertools.combinations(members, 2):
-                    a[i, j] = a[j, i] = 1
-        else:
-            for s, nbrs in self.lower_neighbors(n).items():
-                i = self._index[s][1]
-                for t in nbrs:
-                    a[i, self._index[t][1]] = 1
-        return a
+        key = (n, flavor)
+        if key not in self._adjacency:
+            if flavor == "lower":
+                incidence = abs(self.boundary_matrix(n)).T
+            elif n < self.max_dim:
+                incidence = abs(self.boundary_matrix(n + 1))
+            else:
+                incidence = sp.csr_matrix((len(self._by_dim[n]), 0), dtype=np.int64)
+            gram = incidence @ incidence.T
+            adjacency = (sp.triu(gram, 1) + sp.tril(gram, -1)).tocsr()
+            adjacency.sort_indices()
+            self._adjacency[key] = adjacency
+        return self._adjacency[key]
 
     def lower_neighbors(self, n: int) -> dict[Simplex, tuple[Simplex, ...]]:
         """Lower neighborhood of every n-simplex, as a simplex -> tuple map.
 
         Two n-simplices are lower-adjacent when they share an (n-1)-face.
-        The map covers all n-simplices; isolated ones map to the empty tuple.
-        Cached per dimension.
+        The map covers all n-simplices, neighbors in canonical order; isolated
+        ones map to the empty tuple.  A cached view of the lower adjacency.
         """
         self._require_dim(n, low=1)
         if n not in self._lower_nbrs:
-            buckets: dict[Simplex, list[Simplex]] = {}
-            for s in self._by_dim[n]:
-                for k in range(n + 1):
-                    buckets.setdefault(s[:k] + s[k + 1 :], []).append(s)
-            nbrs: dict[Simplex, set[Simplex]] = {s: set() for s in self._by_dim[n]}
-            for members in buckets.values():
-                for a, b in itertools.combinations(members, 2):
-                    nbrs[a].add(b)
-                    nbrs[b].add(a)
-            self._lower_nbrs[n] = {s: tuple(sorted(v)) for s, v in nbrs.items()}
+            adjacency = self.adjacency(n, "lower")
+            group = self._by_dim[n]
+            targets = [group[j] for j in adjacency.indices.tolist()]
+            bounds = adjacency.indptr.tolist()
+            self._lower_nbrs[n] = {
+                s: tuple(targets[bounds[i] : bounds[i + 1]]) for i, s in enumerate(group)
+            }
         return self._lower_nbrs[n]
 
     def lower_neighborhood(self, simplex: Sequence[int]) -> set[Simplex]:
@@ -257,22 +256,19 @@ class SimplicialComplex:
 
     def arc_count(self, n: int) -> int:
         """Total ordered lower-adjacent pairs at dimension n (m_n)."""
-        return sum(len(v) for v in self.lower_neighbors(n).values())
+        return self.adjacency(n, "lower").nnz
 
     # -- degrees -------------------------------------------------------------
 
     def degree(self, simplex: Sequence[int], flavor: str) -> int:
         """Upper degree (number of cofaces) or lower degree (= dim+1)."""
         s = self._require(simplex)
-        n = self._index[s][0]
+        n, i = self._index[s]
         if flavor == "upper":
-            if n not in self._upper_deg:
-                deg = {t: 0 for t in self._by_dim[n]}
-                for coface in self._by_dim.get(n + 1, ()):
-                    for f in faces(coface, n):
-                        deg[f] += 1
-                self._upper_deg[n] = deg
-            return self._upper_deg[n][s]
+            # each coface adds its n + 1 other n-faces as upper neighbors, and
+            # two cofaces share no n-face but ``s``
+            bounds = self.adjacency(n, "upper").indptr
+            return int(bounds[i + 1] - bounds[i]) // (n + 1)
         if flavor == "lower":
             if n < 1:
                 raise InvalidParameterError("lower degree is undefined for vertices")

@@ -20,6 +20,9 @@ class InvalidParameterError(SimplicialError, ValueError):
 class UnknownSimplexError(SimplicialError, KeyError):
     """The simplex is not present in the complex."""
 
+    # KeyError's own __str__ would quote the message like a dict key
+    __str__ = Exception.__str__
+
 
 class IsolatedSimplexError(SimplicialError, ValueError):
     """The simplex has no lower-adjacent partners; walk quantities are undefined."""

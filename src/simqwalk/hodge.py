@@ -125,8 +125,8 @@ def laplacian_spectrum(
     K: SimplicialComplex, n: int, kernel_tol: float = DEFAULT_KERNEL_TOL
 ) -> SpectrumReport:
     """Full ascending spectrum of the total Hodge Laplacian at dimension n."""
-    if kernel_tol <= 0:
-        raise InvalidParameterError("kernel_tol must be positive")
+    if not 0 < kernel_tol < np.inf:
+        raise InvalidParameterError(f"kernel_tol must be positive and finite, got {kernel_tol}")
     total = hodge_laplacian(K, n).total
     try:
         eigenvalues = np.linalg.eigvalsh(total.astype(np.float64))

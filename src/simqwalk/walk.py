@@ -62,21 +62,21 @@ DEFAULT_PHASE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class WalkSpace:
-    """Ordered basis of translation arcs over lower-adjacent n-simplices.
+    """Ordered basis of translation arcs over lower-adjacent n-simplices, in CSR form.
 
-    Arcs are grouped contiguously by source simplex (sources in canonical
-    order, targets in canonical order inside each group).  Simplices without
-    lower neighbors take no part in the walk and are listed separately.
-    ``reverse[i]`` is the index of the reverse of arc ``i``.
+    The arcs of ``active[i]`` are ``indptr[i]:indptr[i + 1]`` (sources and,
+    inside each block, targets in canonical order); ``target[k]`` is the
+    position in ``active`` of arc ``k``'s target and ``reverse[k]`` the index
+    of its reverse.  ``index`` maps each active simplex to its position.
+    Simplices without lower neighbors take no part and are listed separately.
     """
 
     n: int
-    arcs: tuple[tuple[Simplex, Simplex], ...] = field(repr=False)
     active: tuple[Simplex, ...] = field(repr=False)
     isolated: tuple[Simplex, ...] = field(repr=False)
-    neighbors: dict[Simplex, tuple[Simplex, ...]] = field(repr=False)
-    arc_index: dict[tuple[Simplex, Simplex], int] = field(repr=False)
-    block_start: dict[Simplex, int] = field(repr=False)
+    index: dict[Simplex, int] = field(repr=False)
+    indptr: np.ndarray = field(repr=False, compare=False)
+    target: np.ndarray = field(repr=False, compare=False)
     reverse: np.ndarray = field(repr=False, compare=False)
 
     def __repr__(self) -> str:
@@ -88,32 +88,51 @@ class WalkSpace:
     @property
     def m(self) -> int:
         """Hilbert-space dimension: the number of arcs."""
-        return len(self.arcs)
+        return len(self.target)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Lower-neighborhood size of every active simplex."""
+        return np.diff(self.indptr)
+
+    @property
+    def source(self) -> np.ndarray:
+        """Position in ``active`` of every arc's source."""
+        return np.repeat(np.arange(len(self.active)), self.degrees)
+
+    @property
+    def arcs(self) -> tuple[tuple[Simplex, Simplex], ...]:
+        """Every arc as a ``(source, target)`` pair of simplices, in basis order."""
+        pairs = zip(self.source.tolist(), self.target.tolist())
+        return tuple((self.active[i], self.active[j]) for i, j in pairs)
 
     def degree(self, simplex: Simplex) -> int:
         """Size of the lower neighborhood of an active simplex."""
-        return len(self.neighbors[simplex])
+        i = self.index[simplex]
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def block(self, simplex: Simplex) -> slice:
         """Index range of the arcs based at ``simplex``."""
-        start = self.block_start[simplex]
-        return slice(start, start + self.degree(simplex))
+        i = self.index[simplex]
+        return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
+
+    def arc(self, source, target) -> int:
+        """Index of the arc ``|source -> target>``."""
+        a, b = tuple(source), tuple(target)
+        if a in self.index and b in self.index:
+            blk = self.block(a)
+            k = blk.start + int(np.searchsorted(self.target[blk], self.index[b]))
+            if k < blk.stop and self.target[k] == self.index[b]:
+                return k
+        raise UnknownSimplexError(f"no arc {a} -> {b} in the walk space")
 
     def require_active(self, simplex) -> Simplex:
         s = tuple(simplex)
-        if s in self.block_start:
+        if s in self.index:
             return s
         if s in self.isolated:
             raise IsolatedSimplexError(f"{s} has no lower-adjacent partners")
         raise UnknownSimplexError(f"{s} is not an active {self.n}-simplex")
-
-    def block_starts_array(self) -> np.ndarray:
-        """Start offsets of every active block, plus the end sentinel."""
-        out = np.empty(len(self.active) + 1, dtype=np.int64)
-        for i, s in enumerate(self.active):
-            out[i] = self.block_start[s]
-        out[-1] = self.m
-        return out
 
 
 def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
@@ -122,30 +141,25 @@ def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
         raise InvalidParameterError("the walk is defined for dimensions n >= 1")
     if n > K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [1, {K.max_dim}]")
-    nbrs = K.lower_neighbors(n)
-    active = tuple(s for s in K.simplices(n) if nbrs[s])
-    isolated = tuple(s for s in K.simplices(n) if not nbrs[s])
-    arcs: list[tuple[Simplex, Simplex]] = []
-    block_start: dict[Simplex, int] = {}
-    for s in active:
-        block_start[s] = len(arcs)
-        arcs.extend((s, t) for t in nbrs[s])
-    arc_tuple = tuple(arcs)
-    # Arc (a, b) has key a * |active| + b over canonical positions; the keys
-    # ascend with the arc index, so the reverse arcs are found by bisection.
-    position = {s: i for i, s in enumerate(active)}
-    source = np.repeat(np.arange(len(active)), [len(nbrs[s]) for s in active])
-    target = np.array([position[b] for _, b in arc_tuple], dtype=np.int64)
-    keys = source * len(active) + target
+    adjacency = K.adjacency(n, "lower")
+    group = K.simplices(n)
+    # Isolated simplices have empty rows; dropping them leaves the arcs as
+    # they are and renumbers the targets to active positions.
+    degrees = np.diff(adjacency.indptr)
+    rows = np.flatnonzero(degrees)
+    position = np.cumsum(degrees > 0) - 1
+    active = tuple(group[i] for i in rows.tolist())
+    index = {s: i for i, s in enumerate(active)}
     return WalkSpace(
         n=n,
-        arcs=arc_tuple,
         active=active,
-        isolated=isolated,
-        neighbors={s: nbrs[s] for s in active},
-        arc_index={a: i for i, a in enumerate(arc_tuple)},
-        block_start=block_start,
-        reverse=np.searchsorted(keys, target * len(active) + source),
+        isolated=tuple(s for s in group if s not in index),
+        index=index,
+        indptr=adjacency.indptr[np.append(rows, len(group))].astype(np.int64),
+        target=position[adjacency.indices],
+        # the adjacency is symmetric, so listing the arcs by (target, source)
+        # lists the reverse of every arc in basis order
+        reverse=np.argsort(adjacency.indices, kind="stable"),
     )
 
 
@@ -160,7 +174,7 @@ def fourier_block(d: int) -> np.ndarray:
 
 def coin_operator(space: WalkSpace) -> sp.csr_matrix:
     """Block-diagonal coin: one Fourier block per active source simplex."""
-    blocks = [fourier_block(space.degree(s)) for s in space.active]
+    blocks = [fourier_block(k) for k in space.degrees.tolist()]
     if not blocks:
         return sp.csr_matrix((0, 0), dtype=np.complex128)
     return sp.block_diag(blocks, format="csr", dtype=np.complex128)
@@ -192,13 +206,9 @@ class _ArcFrame:
     classes: tuple[tuple[slice, int, np.ndarray], ...]  # (frame slice, k, coin)
 
 
-def _degrees_array(space: WalkSpace) -> np.ndarray:
-    return np.array([space.degree(s) for s in space.active], dtype=np.int64)
-
-
 def _arc_frame(space: WalkSpace) -> _ArcFrame:
-    degrees = _degrees_array(space)
-    starts = space.block_starts_array()[:-1]
+    degrees = space.degrees
+    starts = space.indptr[:-1]
     parts = [np.zeros(0, dtype=np.int64)]
     classes = []
     offset = 0
@@ -210,12 +220,11 @@ def _arc_frame(space: WalkSpace) -> _ArcFrame:
     arcs = np.concatenate(parts)
     position = np.empty_like(arcs)
     position[arcs] = np.arange(space.m)
-    source = np.repeat(np.arange(len(degrees)), degrees)
     return _ArcFrame(
         arcs=arcs,
         position=position,
         reverse=position[space.reverse[arcs]],
-        source=source[arcs],
+        source=space.source[arcs],
         classes=tuple(classes),
     )
 
@@ -248,11 +257,8 @@ def step_operator(space: WalkSpace) -> UnitaryWalk:
 
 def basis_state(walk: UnitaryWalk, source, target) -> np.ndarray:
     """Unit vector on the arc ``|source -> target>``."""
-    arc = (tuple(source), tuple(target))
-    if arc not in walk.space.arc_index:
-        raise UnknownSimplexError(f"no arc {arc[0]} -> {arc[1]} in the walk space")
     psi = np.zeros(walk.space.m, dtype=np.complex128)
-    psi[walk.space.arc_index[arc]] = 1.0
+    psi[walk.space.arc(source, target)] = 1.0
     return psi
 
 
@@ -324,7 +330,7 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
     profile = np.empty((t_max, n_active))
     for t, psi in enumerate(steps):
         profile[t] = np.bincount(walk.frame.source, _arc_mass(psi), minlength=n_active)
-    return profile / (d_source * _degrees_array(space))
+    return profile / (d_source * space.degrees)
 
 
 def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
@@ -334,7 +340,7 @@ def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
     space = walk.space
     sy = space.require_active(target)
     profile = transition_profile(walk, source, t)
-    return float(profile[t - 1, space.active.index(sy)])
+    return float(profile[t - 1, space.index[sy]])
 
 
 @dataclass(frozen=True)
@@ -360,7 +366,7 @@ def finite_time_average(
     for psi in steps:
         mass += _arc_mass(psi)
     total = np.bincount(walk.frame.source, mass, minlength=len(space.active))
-    mean = total / (time_steps * d_source * _degrees_array(space))
+    mean = total / (time_steps * d_source * space.degrees)
     return TransitionTable(
         source=sx,
         estimator=f"finite(T={time_steps})",
@@ -434,16 +440,14 @@ def long_time_average_spectral(
     space = walk.space
     sx = space.require_active(source)
     spec = spectrum if spectrum is not None else unitary_spectrum(walk)
-    starts = space.block_starts_array()
-    degs = _degrees_array(space)
     blk = space.block(sx)
     acc = np.zeros(len(space.active))
     for group in spec.groups:
         basis = spec.vectors[:, list(group)]
         projected = basis @ basis.conj().T[:, blk]  # columns P_g |source -> v>
-        acc += np.add.reduceat((np.abs(projected) ** 2).sum(axis=1), starts[:-1])
+        acc += np.add.reduceat((np.abs(projected) ** 2).sum(axis=1), space.indptr[:-1])
     d_source = blk.stop - blk.start
-    values = acc / (d_source * degs)
+    values = acc / (d_source * space.degrees)
     return TransitionTable(
         source=sx,
         estimator="spectral",

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against different machinery than the
 implementation under test: adjacency comes from direct vertex-set overlap
-instead of face buckets, evolution from dense matrix powers instead of sparse
-stepping, components from union-find instead of breadth-first search, and
-modularity from a dense modularity matrix instead of per-community counts.
+instead of the unsigned boundary Gram matrix, evolution from dense matrix
+powers instead of the batched degree-class kernel, components from union-find
+instead of a traversal of the sparse adjacency, and modularity from a dense
+modularity matrix instead of per-community counts.
 """
 
 import itertools

@@ -269,3 +269,37 @@ def test_self_loop_input_rejected(tmp_path, capsys):
     bad.write_text("1 1\n")
     assert main(["build", str(bad)]) == 1
     assert "self-loop" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_spectrum_rejects_non_finite_tolerance(edges_file, capsys, tolerance):
+    assert main(["spectrum", "--dim", "1", "--tolerance", tolerance, str(edges_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simqwalk: kernel_tol must be positive and finite")
+    assert err.count("\n") == 1
+
+
+def test_unknown_source_message_is_unquoted(edges_file, capsys):
+    assert main(["walk", "--dim", "2", "--source", "1,2", str(edges_file)]) == 1
+    assert capsys.readouterr().err == "simqwalk: (1, 2) is not an active 2-simplex\n"
+
+
+# JSON reads 1e400 as infinity, which int() cannot convert
+@pytest.mark.parametrize("vertex", ['"a"', "1e400", "NaN"])
+def test_modularity_rejects_non_integer_vertex(edges_file, tmp_path, capsys, vertex):
+    part = tmp_path / "part.json"
+    part.write_text('{"communities": [[[1, %s]]]}' % vertex)
+    code = main(["modularity", "--dim", "1", "--partition", str(part), str(edges_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simqwalk: partition JSON") and err.count("\n") == 1
+
+
+def test_modularity_non_utf8_partition_is_io_error(edges_file, tmp_path, capsys):
+    part = tmp_path / "part.json"
+    part.write_bytes(b"\xff\xfe{}")
+    code = main(["modularity", "--dim", "1", "--partition", str(part), str(edges_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simqwalk: i/o error:") and "UTF-8" in err
+    assert err.count("\n") == 1

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simqwalk import (
     DegenerateSimplexError,
@@ -143,32 +144,71 @@ def test_boundary_matrix_range_checks(karate):
 
 
 def test_triangle_edges_all_upper_adjacent(filled_triangle):
-    a = filled_triangle.adjacency(1, "upper")
+    a = filled_triangle.adjacency(1, "upper").toarray()
     assert (a == 1 - np.eye(3, dtype=np.int64)).all()
 
 
 def test_path_lower_adjacency(path_complex):
-    a = path_complex.adjacency(1, "lower")
+    a = path_complex.adjacency(1, "lower").toarray()
     assert a.tolist() == [[0, 1], [1, 0]]
 
 
 def test_bowtie_triangles_not_lower_adjacent(bowtie):
-    a = bowtie.adjacency(2, "lower")
+    a = bowtie.adjacency(2, "lower").toarray()
     assert not a.any()
 
 
 def test_adjacency_symmetric_zero_diagonal(karate):
     for n, flavor in [(0, "upper"), (1, "upper"), (1, "lower"), (2, "lower")]:
-        a = karate.adjacency(n, flavor)
+        a = karate.adjacency(n, flavor).toarray()
         assert (a == a.T).all()
         assert not np.diag(a).any()
 
 
 def test_upper_adjacency_implies_lower(karate):
     for n in (1, 2, 3):
-        upper = karate.adjacency(n, "upper")
-        lower = karate.adjacency(n, "lower")
+        upper = karate.adjacency(n, "upper").toarray()
+        lower = karate.adjacency(n, "lower").toarray()
         assert ((upper == 1) <= (lower == 1)).all()
+
+
+def _adjacency_cases(karate, bowtie, two_edges):
+    cases = [(karate, n, "lower") for n in range(1, 5)]
+    cases += [(karate, n, "upper") for n in range(0, 5)]  # n = 0 is the graph; 4 is empty
+    for K in (bowtie, two_edges):
+        cases += [(K, n, "lower") for n in range(1, K.max_dim + 1)]
+        cases += [(K, n, "upper") for n in range(0, K.max_dim + 1)]
+    return cases
+
+
+def test_adjacency_matches_pairwise_oracles(karate, bowtie, two_edges):
+    for K, n, flavor in _adjacency_cases(karate, bowtie, two_edges):
+        a = K.adjacency(n, flavor)
+        assert isinstance(a, sp.csr_matrix) and a.has_sorted_indices
+        dense = a.toarray()
+        group = K.simplices(n)
+        for i, s in enumerate(group):
+            for j, t in enumerate(group):
+                if flavor == "lower":
+                    expected = oracles.lower_adjacent(s, t)
+                else:
+                    expected = oracles.upper_adjacent(K, s, t)
+                assert dense[i, j] == int(expected), (n, flavor, s, t)
+
+
+def test_upper_adjacency_at_top_dimension_is_empty(karate):
+    a = karate.adjacency(karate.max_dim, "upper")
+    assert a.shape == (2, 2) and a.nnz == 0
+
+
+def test_graph_is_upper_adjacency_of_vertices(karate):
+    a = karate.adjacency(0, "upper")
+    edges = {tuple(sorted((i + 1, j + 1))) for i, j in zip(*a.nonzero())}
+    assert edges == {tuple(sorted(e)) for e in karate_club_edges()}
+
+
+def test_adjacency_is_cached(karate):
+    assert karate.adjacency(2, "lower") is karate.adjacency(2, "lower")
 
 
 def test_lower_adjacency_needs_positive_dim(karate):
@@ -188,6 +228,13 @@ def test_lower_degree_is_dim_plus_one(karate):
 def test_karate_edge_upper_degree_matches_enumeration(karate):
     for edge in [(1, 2), (33, 34), (25, 26)]:
         assert karate.degree(edge, "upper") == len(oracles.cofaces_containing(karate, edge))
+
+
+def test_upper_degree_matches_coface_enumeration(karate, bowtie, two_edges):
+    for K in (karate, bowtie, two_edges):
+        for n in range(K.max_dim + 1):
+            for s in K.simplices(n):
+                assert K.degree(s, "upper") == len(oracles.cofaces_containing(K, s)), s
 
 
 def test_degree_unknown_simplex(karate):
@@ -226,7 +273,7 @@ def test_arc_counts_are_even(karate, bowtie, tetrahedron):
 
 
 def test_lower_neighborhood_row_sums(karate):
-    a = karate.adjacency(2, "lower")
+    a = karate.adjacency(2, "lower").toarray()
     nbrs = karate.lower_neighbors(2)
     for i, s in enumerate(karate.simplices(2)):
         assert a[i].sum() == len(nbrs[s])

@@ -45,8 +45,8 @@ def test_laplacian_nonzero_pattern(karate):
     # are lower- but not upper-adjacent
     for n in (1, 2):
         total = hodge_laplacian(karate, n).total
-        upper = karate.adjacency(n, "upper")
-        lower = karate.adjacency(n, "lower")
+        upper = karate.adjacency(n, "upper").toarray()
+        lower = karate.adjacency(n, "lower").toarray()
         off = total - np.diag(np.diag(total))
         assert ((off != 0) == ((lower == 1) & (upper == 0))).all()
 
@@ -90,6 +90,12 @@ def test_spectrum_sorted_and_nonnegative(karate):
 def test_spectrum_tolerance_validation(karate):
     with pytest.raises(InvalidParameterError):
         laplacian_spectrum(karate, 1, kernel_tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_spectrum_tolerance_must_be_finite(karate, tol):
+    with pytest.raises(InvalidParameterError):
+        laplacian_spectrum(karate, 1, kernel_tol=tol)
 
 
 def test_images_annihilate_exactly(karate):

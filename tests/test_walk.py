@@ -71,7 +71,7 @@ def test_walk_space_isolated_triangle(karate):
 def test_walk_space_reverse_arcs_present(karate):
     ws = build_walk_space(karate, 2)
     for a, b in ws.arcs:
-        assert (b, a) in ws.arc_index
+        assert 0 <= ws.arc(b, a) < ws.m
     for i, (a, b) in enumerate(ws.arcs):
         assert ws.arcs[ws.reverse[i]] == (b, a)
 
@@ -84,6 +84,36 @@ def test_walk_space_grouped_by_source(karate):
         blk = ws.block(s)
         targets = [b for _, b in ws.arcs[blk]]
         assert targets == sorted(targets)
+
+
+def test_walk_space_csr_matches_lower_neighbors(karate, bowtie, two_edges):
+    for K, n in [(karate, 1), (karate, 2), (karate, 3), (karate, 4), (bowtie, 1), (bowtie, 2)]:
+        ws = build_walk_space(K, n)
+        nbrs = K.lower_neighbors(n)
+        assert ws.indptr[0] == 0 and ws.indptr[-1] == ws.m
+        assert len(ws.indptr) == len(ws.active) + 1
+        for i, s in enumerate(ws.active):
+            assert ws.index[s] == i
+            targets = ws.target[ws.indptr[i] : ws.indptr[i + 1]]
+            assert tuple(ws.active[j] for j in targets) == nbrs[s]
+            assert ws.degree(s) == len(nbrs[s])
+        assert ws.isolated == tuple(s for s in K.simplices(n) if not nbrs[s])
+    empty = build_walk_space(two_edges, 1)
+    assert empty.m == 0 and empty.active == () and empty.indptr.tolist() == [0]
+
+
+def test_arc_round_trips_every_arc(karate):
+    ws = build_walk_space(karate, 2)
+    for k, (a, b) in enumerate(ws.arcs):
+        assert ws.arc(a, b) == k
+    with pytest.raises(UnknownSimplexError):
+        ws.arc((1, 2, 3), (1, 2, 3))  # no arc from a simplex to itself
+    with pytest.raises(UnknownSimplexError):
+        ws.arc((1, 2, 3), (30, 33, 34))  # both active, not lower-adjacent
+    with pytest.raises(UnknownSimplexError):
+        ws.arc((1, 2, 3), (25, 26, 32))  # isolated target
+    with pytest.raises(UnknownSimplexError):
+        ws.arc((1, 2), (1, 3))  # not 2-simplices
 
 
 def test_walk_space_rejects_vertices(karate):
@@ -142,7 +172,7 @@ def test_shift_swaps_arcs(karate):
     for arc in ws.arcs[:10]:
         state = basis_state(walk, *arc)
         shifted = walk.shift @ state
-        assert shifted[ws.arc_index[(arc[1], arc[0])]] == 1.0
+        assert shifted[ws.arc(arc[1], arc[0])] == 1.0
         assert np.count_nonzero(shifted) == 1
 
 
@@ -166,7 +196,7 @@ def test_evolve_path_swaps_and_returns(path_complex):
     walk = walk_on(path_complex)
     start = basis_state(walk, (1, 2), (2, 3))
     once = evolve(walk, start, 1)
-    assert once[walk.space.arc_index[((2, 3), (1, 2))]] == pytest.approx(1.0)
+    assert once[walk.space.arc((2, 3), (1, 2))] == pytest.approx(1.0)
     assert np.allclose(evolve(walk, start, 2), start, atol=1e-15)
 
 
