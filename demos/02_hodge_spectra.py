@@ -27,9 +27,9 @@ print("filled triangle b1 =", betti_number(filled, 1))
 # ways.
 lap = hodge_laplacian(filled, 1)
 print("\nfilled triangle, dimension 1:")
-print("  L_up:\n", lap.up)
-print("  L_down:\n", lap.down)
-print("  L_total:\n", lap.total)
+print("  L_up:\n", lap.up.toarray())
+print("  L_down:\n", lap.down.toarray())
+print("  L_total:\n", lap.total.toarray())
 
 karate = karate_club_complex()
 

@@ -2,9 +2,10 @@
 
 For n-simplices the up-Laplacian is ``B_{n+1} @ B_{n+1}.T`` and the
 down-Laplacian is ``B_n.T @ B_n``, with ``B_n`` the signed incidence matrix
-of the boundary map.  Both are integer Gram matrices here, so the algebraic
-identities (boundary-of-boundary zero, up*down = down*up = 0) can be checked
-exactly; eigenvalue computations convert to floats only at the end.
+of the boundary map.  Both are sparse CSR int64 Gram matrices here, so the
+algebraic identities (boundary-of-boundary zero, up*down = down*up = 0) are
+checked exactly on sparse products.  Only :func:`laplacian_spectrum`
+densifies, into one float64 copy of the total Laplacian for ``eigvalsh``.
 
 The dimension of the Laplacian kernel counts the n-dimensional holes of the
 complex, which is what :func:`betti_number` reports.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .complexes import SimplicialComplex
 from .errors import InvalidParameterError, NumericalError
@@ -34,18 +36,19 @@ DEFAULT_KERNEL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HodgeLaplacian:
-    """Up, down, and total Laplacian at one dimension (integer matrices).
+    """Up, down, and total Laplacian at one dimension.
 
+    Each is a sparse CSR int64 matrix; call ``.toarray()`` for a dense one.
     ``down`` is ``None`` at dimension 0, where the total equals the up part
     (the ordinary graph Laplacian D - A).
     """
 
     n: int
-    up: np.ndarray
-    down: np.ndarray | None
+    up: sp.csr_matrix
+    down: sp.csr_matrix | None
 
     @property
-    def total(self) -> np.ndarray:
+    def total(self) -> sp.csr_matrix:
         return self.up if self.down is None else self.up + self.down
 
 
@@ -75,21 +78,21 @@ class SpectrumReport:
 def hodge_laplacian(K: SimplicialComplex, n: int) -> HodgeLaplacian:
     """Hodge Laplacian of the n-simplices of ``K``.
 
-    The up part is all zeros when dimension n+1 is empty.  Raises
+    The up part has no entries when dimension n+1 is empty.  Raises
     InvalidParameterError for n outside ``[0, K.max_dim]``.
     """
     if not 0 <= n <= K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
-    size = K.num_simplices(n)
     if n < K.max_dim:
         b_up = K.boundary_matrix(n + 1)
-        up = np.asarray((b_up @ b_up.T).todense(), dtype=np.int64)
+        up = (b_up @ b_up.T).tocsr()
     else:
-        up = np.zeros((size, size), dtype=np.int64)
+        size = K.num_simplices(n)
+        up = sp.csr_matrix((size, size), dtype=np.int64)
     if n == 0:
         return HodgeLaplacian(n=0, up=up, down=None)
     b = K.boundary_matrix(n)
-    down = np.asarray((b.T @ b).todense(), dtype=np.int64)
+    down = (b.T @ b).tocsr()
     return HodgeLaplacian(n=n, up=up, down=down)
 
 
@@ -97,8 +100,10 @@ def verify_chain_identities(K: SimplicialComplex, n: int) -> ChainIdentityReport
     """Check B_n @ B_{n+1} = 0 and the up/down Laplacian annihilation exactly.
 
     Identities involving an empty dimension hold trivially and are reported
-    as true.  Every flag of the report is a Python ``bool``, never a numpy
-    scalar, so the report serializes as it stands.
+    as true.  Sparse products are tested with ``count_nonzero``, not ``nnz``,
+    since a sparse product may store explicit zeros.  Every flag of the
+    report is a Python ``bool``, never a numpy scalar, so the report
+    serializes as it stands.
     """
     if not 0 <= n <= K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
@@ -111,8 +116,8 @@ def verify_chain_identities(K: SimplicialComplex, n: int) -> ChainIdentityReport
     if lap.down is None:
         up_down = down_up = True
     else:
-        up_down = not np.any(lap.up @ lap.down)
-        down_up = not np.any(lap.down @ lap.up)
+        up_down = bool((lap.up @ lap.down).count_nonzero() == 0)
+        down_up = bool((lap.down @ lap.up).count_nonzero() == 0)
     return ChainIdentityReport(
         n=n,
         boundary_product_zero=boundary_zero,
@@ -129,7 +134,7 @@ def laplacian_spectrum(
         raise InvalidParameterError(f"kernel_tol must be positive and finite, got {kernel_tol}")
     total = hodge_laplacian(K, n).total
     try:
-        eigenvalues = np.linalg.eigvalsh(total.astype(np.float64))
+        eigenvalues = np.linalg.eigvalsh(total.astype(np.float64).toarray())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NumericalError(f"eigendecomposition failed at dimension {n}") from exc
     betti = int(np.count_nonzero(eigenvalues < kernel_tol))

@@ -389,6 +389,14 @@ class UnitarySpectrum:
 
 
 def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
+    """Indices of ``phases`` in [0, 2*pi), grouped as numerically equal.
+
+    Sorted phases join the current group while the gap to the previous one is
+    at most ``tol``, so a chain of small gaps can make a group wider than
+    ``tol``.  Phases live on a circle: when the first group's lowest phase is
+    within ``tol`` of the last group's highest across 2*pi, the last group is
+    merged in front of the first.
+    """
     order = np.argsort(phases)
     groups: list[list[int]] = [[int(order[0])]]
     for k in order[1:]:
@@ -396,7 +404,6 @@ def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
             groups[-1].append(int(k))
         else:
             groups.append([int(k)])
-    # phases live on a circle: 0 and 2*pi may belong together
     if len(groups) > 1 and phases[groups[0][0]] + 2 * np.pi - phases[groups[-1][-1]] <= tol:
         groups[0] = groups.pop() + groups[0]
     return tuple(tuple(g) for g in groups)

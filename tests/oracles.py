@@ -4,8 +4,10 @@ Everything here is deliberately written against different machinery than the
 implementation under test: adjacency comes from direct vertex-set overlap
 instead of the unsigned boundary Gram matrix, evolution from dense matrix
 powers instead of the batched degree-class kernel, components from union-find
-instead of a traversal of the sparse adjacency, and modularity from a dense
-modularity matrix instead of per-community counts.
+instead of a traversal of the sparse adjacency, modularity from a dense
+modularity matrix instead of per-community counts, and Hodge Laplacians from
+dense boundary matrices built by face enumeration instead of the library's
+sparse incidence matrices.
 """
 
 import itertools
@@ -122,3 +124,28 @@ def modularity_dense(K, n, communities):
             w[index[tuple(s)], c] = 1.0
     modularity_matrix = adjacency - np.outer(counts, counts) / m
     return np.diag(w.T @ modularity_matrix @ w) / m
+
+
+def boundary_dense(K, n):
+    """Dense signed B_n: dropping vertex k of a simplex gives a face with sign (-1)**k."""
+    row = {face: i for i, face in enumerate(K.simplices(n - 1))}
+    columns = K.simplices(n)
+    b = np.zeros((len(row), len(columns)), dtype=np.int64)
+    for j, simplex in enumerate(columns):
+        for k in range(len(simplex)):
+            face = tuple(v for i, v in enumerate(simplex) if i != k)
+            b[row[face], j] = (-1) ** k
+    return b
+
+
+def laplacian_dense(K, n):
+    """Dense int64 ``(up, down, total)`` Hodge Laplacians of the n-simplices,
+    as Gram products of :func:`boundary_dense`; ``down`` is zero at n = 0."""
+    b_up = boundary_dense(K, n + 1)
+    up = b_up @ b_up.T
+    if n == 0:
+        down = np.zeros_like(up)
+    else:
+        b = boundary_dense(K, n)
+        down = b.T @ b
+    return up, down, up + down

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -303,3 +304,101 @@ def test_modularity_non_utf8_partition_is_io_error(edges_file, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("simqwalk: i/o error:") and "UTF-8" in err
     assert err.count("\n") == 1
+
+
+# -- fuzzing ------------------------------------------------------------------------
+
+FUZZ_FLAGS = {
+    "build": ("--max-dim", "--format", "--output"),
+    "spectrum": ("--dim", "--max-dim", "--format", "--output", "--tolerance"),
+    "walk": ("--dim", "--max-dim", "--format", "--output", "--source", "--time-steps", "--method"),
+    "detect": ("--dim", "--max-dim", "--format", "--output", "--time-steps", "--method",
+               "--threshold"),
+    "modularity": ("--dim", "--max-dim", "--format", "--output", "--partition"),
+    "verify": ("--dim", "--max-dim", "--format", "--output"),
+}
+# each flag's values: a tuple of valid ones, then a tuple of bad ones
+FUZZ_VALUES = {
+    "--dim": (("0", "1", "2", "3"), ("-1", "99", "x", "")),
+    "--max-dim": (("1", "2", "4"), ("0", "-1", "99", "x")),
+    "--format": (("json", "csv", "dot"), ("xml",)),
+    "--tolerance": (("1e-9", "0.5"), ("0", "-1", "nan", "inf", "x")),
+    "--source": (("1,2", "1,2,3", "2,1", "4,5,6"),
+                 ("1,x", "", "1,,2", "1,1", "99,100", "1", "-1,2", "1,2,3,4,5,6")),
+    "--time-steps": (("1", "7"), ("0", "-5", "x")),
+    "--method": (("finite", "spectral"), ("exact",)),
+    "--threshold": (("strict", "geq"), ("loose",)),
+}
+FUZZ_JUNK = ("--bogus", "-z", "--dim=", "extra.txt", "--max-dim", "--source", "-h")
+# flags a command cannot run without are left out less often than the rest
+FUZZ_REQUIRED = ("--dim", "--source", "--partition")
+
+
+def _fuzz_files(tmp_path):
+    """Valid and bad edge files, partition files and output paths."""
+    texts = {
+        # a 4-clique, a triangle sharing vertex 4 and a loose edge
+        "small.txt": "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n4 6\n5 6\n7 8\n",
+        "empty.txt": "",
+        "comments.txt": "# nothing but a comment\n",
+        "malformed.txt": "1 x\n",
+        "one_column.txt": "1\n",
+        "self_loop.txt": "1 1\n",
+        "zero_vertex.txt": "0 1\n",
+        "part.json": '{"communities": [[[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]], '
+                     '[[4, 5], [4, 6], [5, 6]], [[7, 8]]]}',
+        "part_empty.json": '{"communities": []}',
+        "part_bad.json": '{"communities": [[[1, "a"]]]}',
+        "part_shape.json": '{"communities": 5}',
+        "part_list.json": "[1, 2]",
+        "part_broken.json": "{",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe1 2\n")
+    path = lambda name: str(tmp_path / name)
+    directory = str(tmp_path)
+    return {
+        "input": ((path("small.txt"),),
+                  (*map(path, ("empty.txt", "comments.txt", "malformed.txt", "one_column.txt",
+                               "self_loop.txt", "zero_vertex.txt", "binary.txt", "missing.txt")),
+                   directory)),
+        "--partition": ((path("part.json"),),
+                        (*map(path, ("part_empty.json", "part_bad.json", "part_shape.json",
+                                     "part_list.json", "part_broken.json", "binary.txt",
+                                     "missing.json")),
+                         directory)),
+        "--output": ((path("out.txt"),), (path("no_such_dir/out.txt"), directory)),
+    }
+
+
+def _fuzz_argv(rng, files):
+    draw = lambda valid, bad: rng.choice(bad if rng.random() < 0.25 else valid)
+    command = "frobnicate" if rng.random() < 0.05 else rng.choice(list(FUZZ_FLAGS))
+    argv = [command]
+    for flag in FUZZ_FLAGS.get(command, ("--dim",)):
+        if rng.random() < (0.95 if flag in FUZZ_REQUIRED else 0.3):
+            argv += [flag, draw(*(files.get(flag) or FUZZ_VALUES[flag]))]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(FUZZ_JUNK))
+    if rng.random() < 0.95:
+        argv.append(draw(*files["input"]))
+    return argv
+
+
+def test_fuzzed_argv_ends_with_exit_code_and_one_line(tmp_path, capsys):
+    rng = random.Random(20240)
+    files = _fuzz_files(tmp_path)
+    for _ in range(200):
+        argv = _fuzz_argv(rng, files)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a bad flag or value
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        if err:
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            assert "Traceback" not in err, argv

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simqwalk import (
     InvalidParameterError,
     betti_number,
     hodge_laplacian,
+    karate_club_complex,
     karate_club_edges,
     laplacian_spectrum,
     verify_chain_identities,
@@ -15,10 +17,10 @@ import oracles
 
 def test_filled_triangle_laplacian(filled_triangle):
     lap = hodge_laplacian(filled_triangle, 1)
-    assert np.diag(lap.up).tolist() == [1, 1, 1]
-    assert np.diag(lap.down).tolist() == [2, 2, 2]
+    assert np.diag(lap.up.toarray()).tolist() == [1, 1, 1]
+    assert np.diag(lap.down.toarray()).tolist() == [2, 2, 2]
     # every edge pair is both upper and lower adjacent: off-diagonals cancel
-    assert (lap.total == 3 * np.eye(3, dtype=np.int64)).all()
+    assert (lap.total.toarray() == 3 * np.eye(3, dtype=np.int64)).all()
 
 
 def test_dimension_zero_is_graph_laplacian(karate):
@@ -36,19 +38,46 @@ def test_dimension_zero_is_graph_laplacian(karate):
 
 def test_hollow_triangle_up_laplacian_vanishes(hollow_triangle):
     lap = hodge_laplacian(hollow_triangle, 1)
-    assert not lap.up.any()
-    assert lap.down.any()
+    assert not lap.up.toarray().any()
+    assert lap.down.toarray().any()
 
 
 def test_laplacian_nonzero_pattern(karate):
     # off-diagonal entries of the total laplacian live exactly on pairs that
     # are lower- but not upper-adjacent
     for n in (1, 2):
-        total = hodge_laplacian(karate, n).total
+        total = hodge_laplacian(karate, n).total.toarray()
         upper = karate.adjacency(n, "upper").toarray()
         lower = karate.adjacency(n, "lower").toarray()
         off = total - np.diag(np.diag(total))
         assert ((off != 0) == ((lower == 1) & (upper == 0))).all()
+
+
+@pytest.mark.parametrize("name", ["karate", "bowtie", "two_edges", "hollow_triangle"])
+def test_laplacian_matches_dense_oracle(request, name):
+    K = request.getfixturevalue(name)
+    for n in range(K.max_dim + 1):
+        lap = hodge_laplacian(K, n)
+        up, down, total = oracles.laplacian_dense(K, n)
+        pairs = [(lap.up, up), (lap.total, total)]
+        if n == 0:
+            assert lap.down is None and not down.any()
+        else:
+            pairs.append((lap.down, down))
+        for got, want in pairs:
+            assert isinstance(got, sp.csr_matrix) and got.dtype == np.int64
+            assert np.array_equal(got.toarray(), want), (name, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unsigned_boundaries_break_chain_identities(monkeypatch, n):
+    # with |B| in place of B nothing cancels, so a check that cannot fail shows
+    K = karate_club_complex()
+    signed = K.boundary_matrix
+    monkeypatch.setattr(K, "boundary_matrix", lambda dim: abs(signed(dim)))
+    report = verify_chain_identities(K, n)
+    for flag in ("boundary_product_zero", "up_down_zero", "down_up_zero"):
+        assert getattr(report, flag) is False, flag  # a Python bool, and False
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -122,8 +151,8 @@ def test_betti_matches_rank_nullity(karate, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rank_decomposition(karate, n):
     lap = hodge_laplacian(karate, n)
-    rank_up = np.linalg.matrix_rank(lap.up.astype(float), tol=1e-9)
-    rank_down = np.linalg.matrix_rank(lap.down.astype(float), tol=1e-9)
+    rank_up = np.linalg.matrix_rank(lap.up.toarray().astype(float), tol=1e-9)
+    rank_down = np.linalg.matrix_rank(lap.down.toarray().astype(float), tol=1e-9)
     assert rank_up + rank_down + betti_number(karate, n) == karate.num_simplices(n)
 
 

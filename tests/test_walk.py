@@ -435,6 +435,23 @@ def test_phase_grouping_keeps_distinct():
     assert len(_group_phases(phases, tol=1e-8)) == 4
 
 
+def test_phase_grouping_chains_consecutive_gaps():
+    # each gap is within tol, so the group spans 1.2 * tol; the same span
+    # with no phase between splits in two
+    tol = 1e-8
+    chained = np.array([0.6 * tol, 1.0, 0.0, 1.2 * tol])
+    assert _group_phases(chained, tol) == ((2, 0, 3), (1,))
+    assert _group_phases(np.array([0.0, 1.0, 1.2 * tol]), tol) == ((0,), (2,), (1,))
+
+
+def test_phase_grouping_wrap_merge_prepends_last_group():
+    # the group below 2*pi is merged in front of the group above 0, and the
+    # merged group spans 1.2 * tol across the wrap
+    tol = 1e-8
+    phases = np.array([0.3 * tol, 2 * np.pi - 0.3 * tol, 2 * np.pi - 0.9 * tol, np.pi])
+    assert _group_phases(phases, tol) == ((2, 1, 0), (3,))
+
+
 # -- amplitude lower bound ----------------------------------------------------------------
 
 
