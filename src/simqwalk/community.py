@@ -251,7 +251,7 @@ def detect_communities(
         Horizon for the finite estimator (ignored by the spectral one).
     threshold : {"strict", "geq"}
         Whether recruitment requires the weight to exceed the baseline
-        strictly, or to reach it.
+        strictly, or to reach it, ties within the estimator's error included.
     """
     if method not in ("finite", "spectral"):
         raise InvalidParameterError(f"unknown estimator {method!r}")
@@ -283,8 +283,10 @@ def detect_communities(
             weight = table.values.get(candidate)
             if weight is None:
                 continue
-            recruited = weight >= baseline if threshold == "geq" else weight > baseline
-            if recruited:
+            # a tie is within the error bound: states off by e move a simplex's
+            # masses by 2e each, and its masses over all states sum to its degree
+            band = 2 * table.error * sum(1 / len(neighbor_map[s]) for s in (seed, candidate))
+            if weight - baseline > band or (threshold == "geq" and weight - baseline >= -band):
                 members.append(candidate)
         unassigned.difference_update(members)
         communities.append(tuple(sorted(members)))

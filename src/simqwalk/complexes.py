@@ -57,15 +57,16 @@ def canonical_simplex(vertices: Iterable[int]) -> Simplex:
     Raises
     ------
     InvalidParameterError
-        If the sequence is empty or contains a non-positive id.
+        If the sequence is empty or holds a non-positive, non-integral or boolean id.
     DegenerateSimplexError
         If a vertex id repeats.
     """
-    vs = tuple(int(v) for v in vertices)
+    vs = tuple(vertices)
+    if any(isinstance(v, (bool, np.bool_)) or int(v) != v or v < 1 for v in vs):
+        raise InvalidParameterError(f"vertex ids must be integers >= 1, got {vs}")
+    vs = tuple(int(v) for v in vs)
     if not vs:
         raise InvalidParameterError("a simplex needs at least one vertex")
-    if any(v < 1 for v in vs):
-        raise InvalidParameterError(f"vertex ids must be >= 1, got {vs}")
     out = tuple(sorted(vs))
     for a, b in zip(out, out[1:]):
         if a == b:
@@ -115,6 +116,7 @@ class SimplicialComplex:
         }
         self._check_face_closure()
         # lazy caches, keyed by dimension (and flavor)
+        self._boundary: dict[int, sp.csc_matrix] = {}
         self._adjacency: dict[tuple[int, str], sp.csr_matrix] = {}
         self._lower_nbrs: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
 
@@ -179,24 +181,23 @@ class SimplicialComplex:
 
         Shape is ``(N_{n-1}, N_n)`` with integer entries; the column of a
         simplex has ``(-1)**k`` at the row of the face obtained by dropping
-        its k-th vertex.  Consecutive matrices compose to zero exactly.
+        its k-th vertex.  Consecutive matrices compose to zero exactly.  Cached.
         """
         self._require_dim(n, low=1)
-        rows_of = self._by_dim[n - 1]
-        cols_of = self._by_dim[n]
-        row_index = {s: i for i, s in enumerate(rows_of)}
-        rows, cols, vals = [], [], []
-        for j, s in enumerate(cols_of):
-            for k in range(n + 1):
-                face = s[:k] + s[k + 1 :]
-                rows.append(row_index[face])
-                cols.append(j)
-                vals.append(1 if k % 2 == 0 else -1)
-        return sp.csc_matrix(
-            (vals, (rows, cols)),
-            shape=(len(rows_of), len(cols_of)),
-            dtype=np.int64,
-        )
+        if n not in self._boundary:
+            rows_of, cols_of = np.array(self._by_dim[n - 1]), np.array(self._by_dim[n])
+            # face k of every simplex drops vertex k; its row is its rank
+            # among the sorted (n-1)-simplices, all of which are listed once
+            faces = np.concatenate([cols_of[:, keep] for keep in ~np.eye(n + 1, dtype=bool)])
+            stacked = np.concatenate([rows_of, faces])
+            order = np.lexsort(stacked.T[::-1])
+            ranked, rank = stacked[order], np.empty(len(stacked), dtype=np.int64)
+            rank[order] = np.cumsum(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]) - 1
+            signs = np.repeat((-1) ** np.arange(n + 1), len(cols_of))
+            entries = (signs, (rank[len(rows_of) :], np.tile(np.arange(len(cols_of)), n + 1)))
+            shape = (len(rows_of), len(cols_of))
+            self._boundary[n] = sp.csc_matrix(entries, shape=shape, dtype=np.int64)
+        return self._boundary[n]
 
     # -- adjacency ----------------------------------------------------------
 

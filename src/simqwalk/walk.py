@@ -11,16 +11,27 @@ once as one column of an ``(m, d)`` block.  A step is then one Fourier
 matmul per degree class (the coin) and one gather along the reverse-arc
 permutation (the shift).
 
-Two estimators of the long-run source-to-target transition behavior are
-provided: a finite-horizon time average obtained by batched evolution, and
-the exact infinite-time average obtained from the spectral decomposition of
-the step operator (eigenphase groups handled with orthogonal projectors, so
-degenerate phases are treated correctly).  Both report the degree-normalized
-transition weight whose flat baseline is ``1/m`` on an m-arc space.
+Two estimators of the long-run weight (flat baseline ``1/m`` on m arcs) are
+provided: a finite-horizon time average by batched evolution, and the exact
+infinite-time average of Aharonov, Ambainis, Kempe and Vazirani (STOC 2001),
+``sum_g |<b| P_g |a>|**2`` over the eigenphase projectors of the step U.
+
+The coin C is complex symmetric and the shift S a real involution, so
+``U = S C`` has ``U.T = S U S``.  In the reverse-arc basis W (per arc pair
+{a, b}: ``(e_a + e_b)/sqrt(2)``, ``i(e_a - e_b)/sqrt(2)``) ``M = W^dagger U W``
+is complex symmetric and unitary, so for a generic alpha the real symmetric
+``Re(e^{i alpha} M)`` commutes with M: one ``eigh`` of it gives real
+eigenvectors r of M, and the imaginary part separates phases that share a
+cosine inside clusters of near-equal eigenvalues.  Phases are Rayleigh
+quotients and every residual ``|Mr - e^{i theta} r|`` is checked.  A real r
+puts mass ``(r_p**2 + r_q**2)/2`` on both arcs of its pair, so every group's
+per-simplex Gram matrix ``G_x`` comes from real vectors and every seed's
+weights from one product, ``sum_g tr(G_x G_y)``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,6 +69,11 @@ __all__ = [
 
 DEFAULT_TIME_STEPS = 100
 DEFAULT_PHASE_TOL = 1e-8
+RESIDUAL_TOL = 1e-8  # largest eigenpair residual the spectral estimator accepts
+_EPS = float(np.finfo(np.float64).eps)
+_ALPHA = 0.5772156649015329  # generic: no rational multiple of pi
+_CLUSTER_GAP = 1e-6  # eigh's vectors are accurate to about eps / gap
+_CHUNK = 256  # columns per block of the chunked products
 
 
 @dataclass(frozen=True)
@@ -345,11 +361,13 @@ def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Source-to-target transition weights under one estimator."""
+    """Source-to-target transition weights under one estimator; ``error``
+    bounds the norm error of each unit state they are built from."""
 
     source: Simplex
     estimator: str
     values: dict[Simplex, float]
+    error: float
 
     def __getitem__(self, target) -> float:
         return self.values[tuple(target)]
@@ -371,6 +389,8 @@ def finite_time_average(
         source=sx,
         estimator=f"finite(T={time_steps})",
         values={s: float(mean[j]) for j, s in enumerate(space.active)},
+        # a step rounds a unit state by about k**1.5 eps (k: largest coin)
+        error=time_steps * float(space.degrees.max()) ** 1.5 * _EPS,
     )
 
 
@@ -378,14 +398,27 @@ def finite_time_average(
 class UnitarySpectrum:
     """Eigenphases and orthonormal eigenvectors of the step operator.
 
-    ``groups`` partitions eigenvector indices into clusters of equal phase
-    (up to a circular tolerance); projectors onto those clusters make the
-    infinite-time average well defined even with degenerate phases.
+    ``basis`` holds them as real columns in the reverse-arc basis of the arc
+    ``pairs``; ``vectors``, in the arc basis, is built on first use.
+    ``groups`` clusters eigenvector indices of equal phase (up to a circular
+    tolerance).  ``masses @ masses^dagger`` sums ``tr(G_x G_y)`` over groups;
+    ``error`` bounds each eigenvector's error: residual plus m roundings.
     """
 
     phases: np.ndarray
-    vectors: np.ndarray
     groups: tuple[tuple[int, ...], ...]
+    basis: np.ndarray = field(repr=False)
+    pairs: np.ndarray = field(repr=False)
+    masses: np.ndarray = field(repr=False)
+    error: float
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors in the arc basis, one per column."""
+        sym, anti = self.basis[0::2] / np.sqrt(2), self.basis[1::2] / np.sqrt(2)
+        vectors = np.empty(self.basis.shape, dtype=np.complex128)
+        vectors[self.pairs[0]], vectors[self.pairs[1]] = sym + 1j * anti, sym - 1j * anti
+        return vectors
 
 
 def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
@@ -409,29 +442,68 @@ def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(g) for g in groups)
 
 
+def _symmetric_eigenpairs(rotated: sp.csr_matrix):
+    """Rayleigh-quotient eigenvalues, real orthonormal eigenvectors and residuals
+    of a complex symmetric unitary ``h + i k``: eigenvectors of ``h`` (cos phi),
+    separated by ``k`` (sin phi) inside clusters of near-equal cos phi."""
+    h, k = rotated.real, rotated.imag
+    try:
+        cos, basis = scipy.linalg.eigh(h.toarray(order="F"), overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigh of the step operator failed: {exc}") from None
+    for cluster in np.split(np.arange(len(cos)), np.flatnonzero(np.diff(cos) > _CLUSTER_GAP) + 1):
+        if len(cluster) > 1:
+            sub = basis[:, cluster]
+            basis[:, cluster] = sub @ scipy.linalg.eigh(sub.T @ (k @ sub))[1]
+    eigenvalues, residuals = np.empty(len(cos), dtype=np.complex128), np.empty(len(cos))
+    for lo in range(0, len(cos), _CHUNK):  # column chunks: no dense m x m product
+        r = basis[:, lo : lo + _CHUNK]
+        hr, kr = h @ r, k @ r
+        c, s = np.einsum("ij,ij->j", r, hr), np.einsum("ij,ij->j", r, kr)
+        eigenvalues[lo : lo + _CHUNK] = c + 1j * s
+        residuals[lo : lo + _CHUNK] = np.sqrt(((hr - r * c) ** 2 + (kr - r * s) ** 2).sum(axis=0))
+    return eigenvalues, basis, residuals
+
+
+def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
+    """Entries ``G_x[i, j]`` of every group's Gram matrices, one column per
+    (i, j) in the group: with ``z = sym + i anti``, arc a of a pair adds
+    ``conj(z_i) z_j / 2`` to its source's entry and arc b the conjugate."""
+    pair, shape = np.arange(pairs.shape[1]), (len(space.active), pairs.shape[1])
+    at_a, at_b = (sp.csr_matrix((np.ones(shape[1]), (space.source[p], pair)), shape) for p in pairs)
+    i, j = np.concatenate([np.stack(np.meshgrid(g, g)).reshape(2, -1) for g in groups], axis=1)
+    parts = []
+    for lo in range(0, len(i), _CHUNK):
+        ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]
+        x = (basis[0::2, ii] - 1j * basis[1::2, ii]) * (basis[0::2, jj] + 1j * basis[1::2, jj])
+        parts.append((at_a @ x + at_b @ x.conj()) / 2)
+    return np.hstack(parts)
+
+
 def unitary_spectrum(
     walk: UnitaryWalk, phase_tol: float = DEFAULT_PHASE_TOL
 ) -> UnitarySpectrum:
-    """Spectral decomposition of the step operator via its Schur form.
-
-    A unitary matrix is normal, so the complex Schur form is diagonal and
-    the Schur vectors are orthonormal eigenvectors by construction.
-    """
-    dense = walk.step.toarray()
-    try:
-        triangular, vectors = scipy.linalg.schur(dense, output="complex")
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalError("Schur decomposition of the step operator failed") from exc
-    diag = np.diag(triangular)
-    off = triangular - np.diag(diag)
-    if off.size and np.abs(off).max() > 1e-8:
-        raise NumericalError("step operator is not numerically normal")
-    phases = np.mod(np.angle(diag), 2 * np.pi)
-    return UnitarySpectrum(
-        phases=phases,
-        vectors=vectors,
-        groups=_group_phases(phases, phase_tol),
-    )
+    """Spectral decomposition of the step operator from one real symmetric
+    ``eigh`` in the reverse-arc basis (module docstring).  Raises
+    NumericalError when that matrix and its eigenvectors (``16 m**2`` bytes)
+    exceed physical memory, or a residual exceeds ``RESIDUAL_TOL``."""
+    m = walk.space.m
+    need, have = 16 * m * m, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise NumericalError(f"the spectrum of {m} arcs needs {need / 2**30:.1f} GiB, "
+                             f"more than the {have / 2**30:.1f} GiB of physical memory")
+    first = np.flatnonzero(np.arange(m) < walk.space.reverse)
+    pairs = np.stack([first, walk.space.reverse[first]])
+    columns = (np.tile(pairs.T, 2).ravel(), np.repeat(np.arange(m), 2))
+    w = sp.csr_matrix((np.tile([1, 1, 1j, -1j], m // 2) / np.sqrt(2), columns), (m, m))
+    rotated = (np.exp(1j * _ALPHA) * (w.conj().T @ walk.step @ w)).tocsr()
+    eigenvalues, basis, residuals = _symmetric_eigenpairs(rotated)
+    if residuals.max() > RESIDUAL_TOL:
+        raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
+    phases = np.mod(np.angle(eigenvalues) - _ALPHA, 2 * np.pi)
+    groups = _group_phases(phases, phase_tol)
+    masses = _group_masses(walk.space, pairs, basis, groups)
+    return UnitarySpectrum(phases, groups, basis, pairs, masses, residuals.max() + m * _EPS)
 
 
 def long_time_average_spectral(
@@ -439,26 +511,20 @@ def long_time_average_spectral(
 ) -> TransitionTable:
     """Exact infinite-time average of the transition weights from ``source``.
 
-    Computed from eigenphase-group projectors ``P_g``: the weight to a target
-    sums ``|<target arc| P_g |source arc>|**2`` over groups and arcs, with the
-    same degree normalization as the per-time weights.  When every phase is
-    simple this reduces to the plain sum over eigenvectors.
+    The weight to a target sums ``|<target arc| P_g |source arc>|**2`` over
+    eigenphase groups g and arcs, with the same degree normalization as the
+    per-time weights: one row of the spectrum's ``masses @ masses^dagger``.
     """
     space = walk.space
     sx = space.require_active(source)
     spec = spectrum if spectrum is not None else unitary_spectrum(walk)
-    blk = space.block(sx)
-    acc = np.zeros(len(space.active))
-    for group in spec.groups:
-        basis = spec.vectors[:, list(group)]
-        projected = basis @ basis.conj().T[:, blk]  # columns P_g |source -> v>
-        acc += np.add.reduceat((np.abs(projected) ** 2).sum(axis=1), space.indptr[:-1])
-    d_source = blk.stop - blk.start
-    values = acc / (d_source * space.degrees)
+    ix = space.index[sx]
+    values = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
     return TransitionTable(
         source=sx,
         estimator="spectral",
         values={s: float(values[j]) for j, s in enumerate(space.active)},
+        error=spec.error,
     )
 
 
@@ -472,18 +538,9 @@ def amplitude_lower_bound(
     group.  The value never exceeds the spectral long-time average.
     """
     space = walk.space
-    sx = space.require_active(source)
-    sy = space.require_active(target)
+    bx = space.block(space.require_active(source))
+    by = space.block(space.require_active(target))
     spec = spectrum if spectrum is not None else unitary_spectrum(walk)
-    bx = space.block(sx)
-    by = space.block(sy)
-    x = np.zeros(space.m, dtype=np.complex128)
-    x[bx] = 1.0 / (bx.stop - bx.start)
-    y = np.zeros(space.m, dtype=np.complex128)
-    y[by] = 1.0 / (by.stop - by.start)
-    total = 0.0
-    for group in spec.groups:
-        basis = spec.vectors[:, list(group)]
-        amp = np.vdot(y, basis @ (basis.conj().T @ x))
-        total += float(np.abs(amp) ** 2)
-    return total
+    # <y|v_k><v_k|x> for every eigenvector, summed within each group
+    terms = spec.vectors[by].mean(axis=0) * spec.vectors[bx].mean(axis=0).conj()
+    return float(sum(abs(terms[list(group)].sum()) ** 2 for group in spec.groups))

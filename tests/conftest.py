@@ -59,5 +59,6 @@ def karate_walk_n2(karate):
 
 @pytest.fixture(scope="session")
 def karate_spectrum_n1(karate_walk_n1):
-    # one Schur decomposition of the 1056-arc step operator, shared by tests
+    # one real symmetric eigh of the 1056-arc step operator in the reverse-arc
+    # basis, shared by tests
     return unitary_spectrum(karate_walk_n1)

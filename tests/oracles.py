@@ -5,14 +5,19 @@ implementation under test: adjacency comes from direct vertex-set overlap
 instead of the unsigned boundary Gram matrix, evolution from dense matrix
 powers instead of the batched degree-class kernel, components from union-find
 instead of a traversal of the sparse adjacency, modularity from a dense
-modularity matrix instead of per-community counts, and Hodge Laplacians from
+modularity matrix instead of per-community counts, Hodge Laplacians from
 dense boundary matrices built by face enumeration instead of the library's
-sparse incidence matrices.
+sparse incidence matrices, and the spectrum of the step operator from a dense
+complex Schur form with per-seed group projectors instead of a real
+symmetric ``eigh`` in the reverse-arc basis with one all-seed product.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg
+
+from simqwalk.walk import _group_phases
 
 
 class UnionFind:
@@ -149,3 +154,28 @@ def laplacian_dense(K, n):
         b = boundary_dense(K, n)
         down = b.T @ b
     return up, down, up + down
+
+
+def unitary_spectrum_schur(walk, phase_tol=1e-8):
+    """``(phases, vectors, groups)`` of the step operator from its complex
+    Schur form: a unitary matrix is normal, so the form is diagonal and the
+    Schur vectors are orthonormal eigenvectors."""
+    triangular, vectors = scipy.linalg.schur(walk.step.toarray(), output="complex")
+    diag = np.diag(triangular)
+    assert np.abs(triangular - np.diag(diag)).max() <= 1e-8, "step operator is not normal"
+    phases = np.mod(np.angle(diag), 2 * np.pi)
+    return phases, vectors, _group_phases(phases, phase_tol)
+
+
+def projector_weights(walk, source, vectors, groups):
+    """Infinite-time weights from ``source`` to every active simplex, in
+    ``walk.space.active`` order: ``|<target arc| P_g |source arc>|**2``
+    summed over groups and arcs, one projector per group."""
+    space = walk.space
+    blk = space.block(tuple(source))
+    acc = np.zeros(len(space.active))
+    for group in groups:
+        basis = vectors[:, list(group)]
+        projected = basis @ basis.conj().T[:, blk]  # columns P_g |source -> v>
+        acc += np.add.reduceat((np.abs(projected) ** 2).sum(axis=1), space.indptr[:-1])
+    return acc / ((blk.stop - blk.start) * space.degrees)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import simqwalk.walk
 from simqwalk import karate_club_edges
 from simqwalk.cli import _json_text, main
 
@@ -294,6 +295,30 @@ def test_modularity_rejects_non_integer_vertex(edges_file, tmp_path, capsys, ver
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("simqwalk: partition JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("vertex", ["1.5", "true"])
+def test_modularity_rejects_non_integral_vertex(edges_file, tmp_path, capsys, vertex):
+    # a bare int() read both as vertex 1, so the otherwise valid partition
+    # of every edge into one community scored as if it held (1, 2)
+    edges = [[u, v] for u, v in karate_club_edges()]
+    assert edges[0] == [1, 2]
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"communities": [edges]}).replace("[1, 2]", f"[{vertex}, 2]", 1))
+    code = main(["modularity", "--dim", "1", "--partition", str(part), str(edges_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "vertex ids must be integers" in err and err.count("\n") == 1
+
+
+def test_spectral_walk_beyond_memory_is_numerical_error(edges_file, capsys, monkeypatch):
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+    monkeypatch.setattr(simqwalk.walk.os, "sysconf", memory.get)
+    argv = ["walk", "--dim", "1", "--source", "1,2", "--method", "spectral", str(edges_file)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("simqwalk: numerical error:") and "physical memory" in err
+    assert err.count("\n") == 1
 
 
 def test_modularity_non_utf8_partition_is_io_error(edges_file, tmp_path, capsys):

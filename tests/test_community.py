@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
+import simqwalk.community
 from simqwalk import (
     CommunityPartition,
     InvalidParameterError,
@@ -238,6 +240,34 @@ def test_two_member_walk_sits_at_threshold(karate):
     assert strict.sizes == (1, 1)
     merged = detect_communities(karate, 4, threshold="geq")
     assert merged.communities == (FOUR_SIMPLEX_COMMUNITY,)
+
+
+@pytest.mark.parametrize("threshold", ["strict", "geq"])
+def test_estimators_agree_on_the_four_simplex_tie(karate, threshold):
+    # both weights are exactly 1/m: a tie under either estimator, so the
+    # outcome follows the threshold rule, not the estimator's rounding
+    finite = detect_communities(karate, 4, method="finite", threshold=threshold)
+    spectral = detect_communities(karate, 4, method="spectral", threshold=threshold)
+    assert finite.communities == spectral.communities
+    assert finite.sizes == ((1, 1) if threshold == "strict" else (2,))
+
+
+@pytest.mark.parametrize("method", ["finite", "spectral"])
+@pytest.mark.parametrize("nudge", [-1, 1])
+def test_rounding_within_the_error_bound_stays_a_tie(karate, monkeypatch, method, nudge):
+    # a Schur decomposition gave the tied weights as 0.4999999999999995; a
+    # weight moved by less than its error bound decides as the exact one
+    name = "finite_time_average" if method == "finite" else "long_time_average_spectral"
+    estimate = getattr(simqwalk.community, name)
+
+    def nudged(*args):
+        table = estimate(*args)
+        values = {s: w * (1 + nudge * 1e-15) for s, w in table.values.items()}
+        return dataclasses.replace(table, values=values)
+
+    monkeypatch.setattr(simqwalk.community, name, nudged)
+    assert detect_communities(karate, 4, method=method, threshold="strict").sizes == (1, 1)
+    assert detect_communities(karate, 4, method=method, threshold="geq").sizes == (2,)
 
 
 def test_karate_edge_detection_pinned(karate):

@@ -32,6 +32,16 @@ def test_canonical_simplex_rejects_duplicates():
         canonical_simplex((1, 1, 2))
 
 
+@pytest.mark.parametrize("vertex", [1.5, True, np.True_])
+def test_canonical_simplex_rejects_non_integral_ids(vertex):
+    with pytest.raises(InvalidParameterError, match="integers"):
+        canonical_simplex((vertex, 2))
+
+
+def test_canonical_simplex_accepts_integral_values():
+    assert canonical_simplex((np.int64(3), 2.0)) == (2, 3)
+
+
 def test_canonical_simplex_rejects_bad_ids():
     with pytest.raises(InvalidParameterError):
         canonical_simplex(())
@@ -131,6 +141,15 @@ def test_boundary_columns_alternate_signs(karate):
             assert np.count_nonzero(col) == n + 1
             signs = [col[karate.position(s[:k] + s[k + 1 :])] for k in range(n + 1)]
             assert signs == [(-1) ** k for k in range(n + 1)]
+
+
+def test_boundary_matrix_matches_oracle_and_is_cached(karate, bowtie, two_edges):
+    for K in (karate, bowtie, two_edges):
+        for n in range(1, K.max_dim + 1):
+            b = K.boundary_matrix(n)
+            assert b.dtype == np.int64
+            assert np.array_equal(b.toarray(), oracles.boundary_dense(K, n))
+            assert K.boundary_matrix(n) is b
 
 
 def test_boundary_matrix_range_checks(karate):

@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simqwalk import (
     InvalidParameterError,
     IsolatedSimplexError,
+    NumericalError,
     UnknownSimplexError,
     amplitude_lower_bound,
     basis_state,
@@ -22,8 +24,10 @@ from simqwalk import (
     transition_profile,
     unitary_spectrum,
 )
-from simqwalk.walk import _group_phases
+import simqwalk.walk as walk_module
+from simqwalk.walk import _group_phases, _symmetric_eigenpairs
 
+import oracles
 from conftest import BOWTIE_EDGES
 
 
@@ -422,6 +426,117 @@ def test_finite_converges_to_spectral_with_degenerate_phases(karate):
         gaps.append(worst)
     assert gaps[1] < gaps[0]
     assert gaps[1] < 5e-3
+
+
+def _circular_gap(a, b):
+    gap = np.abs(np.subtract.outer(a, b)) % (2 * np.pi)
+    return np.minimum(gap, 2 * np.pi - gap)
+
+
+def _check_against_schur(walk, spec, sources):
+    """Compare a spectrum with the Schur oracle: phase groups (sizes, phases,
+    projectors) and the all-seed weights against per-seed projector weights."""
+    phases, vectors, groups = oracles.unitary_spectrum_schur(walk)
+    tol = walk_module.DEFAULT_PHASE_TOL
+    assert len(spec.groups) == len(groups)
+    # pair each group with the Schur group nearest in phase
+    gap = _circular_gap(spec.phases[[g[0] for g in spec.groups]], phases[[g[0] for g in groups]])
+    match = gap.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(len(groups)))
+    overlap = vectors.conj().T @ spec.vectors
+    for g, h in zip(spec.groups, match.tolist()):
+        ours, theirs = list(g), list(groups[h])
+        assert len(ours) == len(theirs)
+        assert _circular_gap(spec.phases[ours], phases[theirs]).max() <= tol
+        # equal ranks and no part of the group outside the Schur group's
+        # span: the two projectors are equal
+        outside = spec.vectors[:, ours] - vectors[:, theirs] @ overlap[np.ix_(theirs, ours)]
+        assert np.linalg.norm(outside) < 1e-9
+    space = walk.space
+    for source in sources:
+        table = long_time_average_spectral(walk, source, spec)
+        values = np.array([table[t] for t in space.active])
+        reference = oracles.projector_weights(walk, source, vectors, groups)
+        # exactly-zero weights come out as rounding noise of order 1e-29
+        np.testing.assert_allclose(values, reference, rtol=1e-10, atol=1e-25)
+        assert values @ space.degrees == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectrum_matches_schur_karate_edges(karate_walk_n1, karate_spectrum_n1):
+    # every phase is simple at n = 1; per-seed projector weights for a sample
+    sources = random.Random(6).sample(karate_walk_n1.space.active, 6)
+    _check_against_schur(karate_walk_n1, karate_spectrum_n1, sources)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spectrum_matches_schur_karate(karate, n):
+    # n = 3 has phase groups of sizes 2 and 3
+    walk = walk_on(karate, n)
+    _check_against_schur(walk, unitary_spectrum(walk), walk.space.active)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_spectrum_matches_schur_random_complexes(seed):
+    rng = random.Random(seed)
+    size = rng.randint(7, 11)
+    pairs = [(u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)]
+    edges = [edge for edge in pairs if rng.random() < 0.5]
+    K = clique_complex(edges, max_dim=3)
+    for n in (1, 2):
+        if n <= K.max_dim and K.arc_count(n):
+            walk = walk_on(K, n)
+            _check_against_schur(walk, unitary_spectrum(walk), walk.space.active)
+
+
+def test_group_masses_match_projectors_for_any_grouping(karate):
+    # coarse groups of consecutive eigenvectors give Gram matrices with
+    # nonzero imaginary parts; the identity sum_g tr(G_x G_y) holds for
+    # any grouping
+    walk = walk_on(karate, 2)
+    spec = unitary_spectrum(walk)
+    groups = tuple(tuple(range(k, min(k + 4, walk.space.m))) for k in range(0, walk.space.m, 4))
+    masses = walk_module._group_masses(walk.space, spec.pairs, spec.basis, groups)
+    degrees = walk.space.degrees
+    for ix, source in enumerate(walk.space.active[:10]):
+        values = (masses @ masses[ix].conj()).real / (degrees[ix] * degrees)
+        reference = oracles.projector_weights(walk, source, spec.vectors, groups)
+        np.testing.assert_allclose(values, reference, rtol=1e-10, atol=1e-25)
+
+
+def test_cluster_separation_splits_colliding_phases():
+    # phases +-0.7 of a complex symmetric unitary share the eigenvalue
+    # cos(0.7) of its real part; only the imaginary part tells their
+    # eigenvectors apart
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    phi = np.array([0.7, -0.7, 0.2, 1.9, -2.5, 3.0])
+    rotated = sp.csr_matrix((q * np.exp(1j * phi)) @ q.T)
+    eigenvalues, basis, residuals = _symmetric_eigenpairs(rotated)
+    assert residuals.max() < 1e-12
+    assert np.abs(basis.T @ basis - np.eye(6)).max() < 1e-12
+    assert _circular_gap(np.angle(eigenvalues), phi).min(axis=1).max() < 1e-12
+    for k in (0, 1):  # each colliding phase keeps its own eigenvector
+        column = np.argmin(_circular_gap(np.angle(eigenvalues), phi[k : k + 1]))
+        assert abs(abs(basis[:, column] @ q[:, k]) - 1) < 1e-12
+
+
+def test_large_residual_is_a_numerical_error(karate, monkeypatch):
+    monkeypatch.setattr(walk_module, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(NumericalError, match="residual"):
+        unitary_spectrum(walk_on(karate, 2))
+
+
+def test_memory_guard_refuses_dense_spectrum(karate_walk_n1, monkeypatch):
+    # 16 m**2 bytes for m = 1056 arcs is 17.8 MB: report 17 MiB of memory
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 17 * 256}
+    monkeypatch.setattr(walk_module.os, "sysconf", memory.get)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense work started before the memory check")
+
+    monkeypatch.setattr(walk_module.scipy.linalg, "eigh", no_dense)
+    with pytest.raises(NumericalError, match="physical memory"):
+        unitary_spectrum(karate_walk_n1)
 
 
 def test_phase_grouping_wraps_around():
