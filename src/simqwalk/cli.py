@@ -176,6 +176,8 @@ def _cmd_walk(args) -> tuple[dict, list[str], list[list], str | None]:
             f"--source takes comma-joined vertex ids, got {args.source!r}"
         ) from None
     source = canonical_simplex(vertices)
+    if args.time_steps < 1:  # the spectral estimator takes no horizon to check it
+        raise InvalidParameterError("time_steps must be >= 1")
     walk = step_operator(build_walk_space(complex_, args.dim))
     if args.method == "finite":
         table = finite_time_average(walk, source, args.time_steps)

@@ -240,7 +240,7 @@ def detect_communities(
     largest lower neighborhood (ties broken canonically), estimates the
     time-averaged transition weight from the seed to every unassigned
     simplex, and recruits those whose weight beats ``1/m``.  Isolated
-    simplices become singleton communities without running the walk.
+    simplices follow as singletons, in canonical order, without the walk.
 
     Parameters
     ----------
@@ -265,29 +265,25 @@ def detect_communities(
         unitary_spectrum(walk) if (method == "spectral" and walk is not None) else None
     )
     baseline = 1.0 / space.m if space.m else None
-    neighbor_map = K.lower_neighbors(n)
-    unassigned = set(K.simplices(n))
+    degree = space.degrees.tolist()
+    unassigned = dict.fromkeys(range(len(space.active)), True)  # canonical order
     communities: list[tuple[Simplex, ...]] = []
-    while unassigned:
-        seed = min(unassigned, key=lambda s: (-len(neighbor_map[s]), s))
-        unassigned.discard(seed)
-        if not neighbor_map[seed]:
-            communities.append((seed,))
+    # degrees never change, so one stable sort by -degree orders every seed
+    for seed in np.argsort(-space.degrees, kind="stable").tolist():
+        if not unassigned.pop(seed, False):
             continue
-        if method == "finite":
-            table = finite_time_average(walk, seed, time_steps)
-        else:
-            table = long_time_average_spectral(walk, seed, spectrum)
+        source = space.active[seed]
+        table = (finite_time_average(walk, source, time_steps) if method == "finite"
+                 else long_time_average_spectral(walk, source, spectrum))
         members = [seed]
-        for candidate in sorted(unassigned):
-            weight = table.values.get(candidate)
-            if weight is None:
-                continue
+        for candidate in list(unassigned):
+            weight = table.values[space.active[candidate]]
             # a tie is within the error bound: states off by e move a simplex's
             # masses by 2e each, and its masses over all states sum to its degree
-            band = 2 * table.error * sum(1 / len(neighbor_map[s]) for s in (seed, candidate))
+            band = 2 * table.error * (1 / degree[seed] + 1 / degree[candidate])
             if weight - baseline > band or (threshold == "geq" and weight - baseline >= -band):
                 members.append(candidate)
-        unassigned.difference_update(members)
-        communities.append(tuple(sorted(members)))
+                del unassigned[candidate]
+        communities.append(tuple(space.active[i] for i in sorted(members)))
+    communities.extend((s,) for s in space.isolated)
     return CommunityPartition(n=n, communities=tuple(communities))

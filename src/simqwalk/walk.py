@@ -247,28 +247,28 @@ def _arc_frame(space: WalkSpace) -> _ArcFrame:
 
 @dataclass(frozen=True)
 class UnitaryWalk:
-    """One-step evolution ``step = shift @ coin`` with its factors.
+    """The one-step evolution ``shift @ coin`` on a walk space.
 
-    The sparse matrices serve the spectral estimator; evolution runs on
-    ``frame`` instead.
+    Both views are built on first use: evolution runs on ``frame``, and only
+    the spectral estimator reads the sparse ``step``.
     """
 
     space: WalkSpace
-    coin: sp.csr_matrix
-    shift: sp.csr_matrix
-    step: sp.csr_matrix
 
     @cached_property
     def frame(self) -> _ArcFrame:
-        """The evolution kernel's arc order, built on first use."""
+        """The evolution kernel's arc order."""
         return _arc_frame(self.space)
+
+    @cached_property
+    def step(self) -> sp.csr_matrix:
+        """The sparse step matrix ``shift_operator @ coin_operator``."""
+        return (shift_operator(self.space) @ coin_operator(self.space)).tocsr()
 
 
 def step_operator(space: WalkSpace) -> UnitaryWalk:
-    """Assemble coin, shift, and composed step operator for a walk space."""
-    coin = coin_operator(space)
-    shift = shift_operator(space)
-    return UnitaryWalk(space=space, coin=coin, shift=shift, step=(shift @ coin).tocsr())
+    """The walk on a space; its frame and sparse step are built on first use."""
+    return UnitaryWalk(space)
 
 
 def basis_state(walk: UnitaryWalk, source, target) -> np.ndarray:
@@ -318,8 +318,6 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
 def _source_evolution(walk: UnitaryWalk, source: Simplex, t_max: int):
     """Evolve every initial arc of an active source together, one column
     each; returns the source's degree and the step iterator."""
-    if t_max < 1:
-        raise InvalidParameterError("t_max must be >= 1")
     blk = walk.space.block(source)
     d = blk.stop - blk.start
     psi = np.zeros((walk.space.m, d), dtype=np.complex128)
@@ -339,6 +337,8 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
     One batched evolution of all the source's initial arcs serves every
     target simultaneously.
     """
+    if t_max < 1:
+        raise InvalidParameterError("t_max must be >= 1")
     space = walk.space
     sx = space.require_active(source)
     d_source, steps = _source_evolution(walk, sx, t_max)
@@ -377,6 +377,8 @@ def finite_time_average(
     walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIME_STEPS
 ) -> TransitionTable:
     """Average the transition weights over times ``1..time_steps``."""
+    if time_steps < 1:
+        raise InvalidParameterError("time_steps must be >= 1")
     space = walk.space
     sx = space.require_active(source)
     d_source, steps = _source_evolution(walk, sx, time_steps)

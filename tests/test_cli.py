@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from simqwalk import karate_club_edges
 from simqwalk.cli import _json_text, main
 
 from reference_karate import TRIANGLE_COMMUNITIES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +322,24 @@ def test_spectral_walk_beyond_memory_is_numerical_error(edges_file, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("simqwalk: numerical error:") and "physical memory" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-7"])
+@pytest.mark.parametrize("method", ["finite", "spectral"])
+@pytest.mark.parametrize("command", [["walk", "--source", "1,2"], ["detect"]])
+def test_non_positive_time_steps_rejected(edges_file, capsys, command, method, steps):
+    argv = command + ["--dim", "1", "--method", method, "--time-steps", steps, str(edges_file)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "simqwalk: time_steps must be >= 1\n"
+
+
+@pytest.mark.parametrize("method", ["finite", "spectral"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_karate_detect_matches_bench_goldens(edges_file, capsys, n, method):
+    golden = ROOT / "bench" / "golden" / f"karate_detect_n{n}_{method}.json"
+    argv = ["detect", "--dim", str(n), "--method", method, "--time-steps", "100", str(edges_file)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_modularity_non_utf8_partition_is_io_error(edges_file, tmp_path, capsys):

@@ -231,6 +231,16 @@ def test_detected_communities_stay_within_components(karate, bowtie):
 def test_isolated_triangle_is_singleton(karate):
     part = detect_communities(karate, 2)
     assert ((25, 26, 32),) in part.communities
+    # isolated triangles on either side of a lower-connected K4 in canonical
+    # order: the walk's communities come first, then the singletons in order
+    k4 = [(u, v) for u in range(20, 24) for v in range(u + 1, 24)]
+    disjoint = [(1, 2), (1, 3), (2, 3), (7, 8), (7, 9), (8, 9), (30, 31), (30, 32), (31, 32)]
+    K = clique_complex(k4 + disjoint, max_dim=2)
+    for method in ("finite", "spectral"):
+        part = detect_communities(K, 2, method=method)
+        assert part.communities[-3:] == (((1, 2, 3),), ((7, 8, 9),), ((30, 31, 32),))
+        walked = {s for com in part.communities[:-3] for s in com}
+        assert walked == {(20, 21, 22), (20, 21, 23), (20, 22, 23), (21, 22, 23)}
 
 
 def test_two_member_walk_sits_at_threshold(karate):

@@ -14,9 +14,11 @@ from simqwalk import (
     basis_state,
     build_walk_space,
     clique_complex,
+    detect_communities,
     evolve,
     finite_time_average,
     fourier_block,
+    karate_club_edges,
     long_time_average_spectral,
     shift_operator,
     step_operator,
@@ -24,6 +26,8 @@ from simqwalk import (
     transition_profile,
     unitary_spectrum,
 )
+import simqwalk.cli
+import simqwalk.community
 import simqwalk.walk as walk_module
 from simqwalk.walk import _group_phases, _symmetric_eigenpairs
 
@@ -158,7 +162,7 @@ def test_operators_unitary(edges, n):
         return
     walk = step_operator(ws)
     eye = np.eye(ws.m)
-    for op in (walk.coin, walk.shift, walk.step):
+    for op in (walk_module.coin_operator(ws), shift_operator(ws), walk.step):
         dense = op.toarray()
         assert np.abs(dense.conj().T @ dense - eye).max() < 1e-10
 
@@ -175,7 +179,7 @@ def test_shift_swaps_arcs(karate):
     walk = step_operator(ws)
     for arc in ws.arcs[:10]:
         state = basis_state(walk, *arc)
-        shifted = walk.shift @ state
+        shifted = shift_operator(ws) @ state
         assert shifted[ws.arc(arc[1], arc[0])] == 1.0
         assert np.count_nonzero(shifted) == 1
 
@@ -231,6 +235,35 @@ def test_evolve_matches_step_matrix(karate):
     for t in range(1, 6):
         expected = walk.step @ expected
         assert np.abs(evolve(walk, state, t) - expected).max() < 1e-12
+
+
+def test_finite_path_builds_no_sparse_operator(karate, monkeypatch, tmp_path):
+    def refuse(space):
+        raise AssertionError("the finite path built a sparse operator")
+
+    walks = []
+
+    def recorded(space):
+        walks.append(step_operator(space))
+        return walks[-1]
+
+    monkeypatch.setattr(walk_module, "coin_operator", refuse)
+    monkeypatch.setattr(walk_module, "shift_operator", refuse)
+    monkeypatch.setattr(simqwalk.community, "step_operator", recorded)
+    monkeypatch.setattr(simqwalk.cli, "step_operator", recorded)
+    for n in (1, 2, 3, 4):
+        detect_communities(karate, n, method="finite")
+    edges = tmp_path / "karate.txt"
+    edges.write_text("\n".join(f"{u} {v}" for u, v in karate_club_edges()) + "\n")
+    argv = ["walk", "--dim", "1", "--source", "1,2", "--method", "finite", str(edges)]
+    assert simqwalk.cli.main(argv + ["--output", str(tmp_path / "w.json")]) == 0
+    walk = recorded(build_walk_space(karate, 2))
+    source = walk.space.active[0]
+    finite_time_average(walk, source, 10)
+    transition_profile(walk, source, 10)
+    evolve(walk, basis_state(walk, *walk.space.arcs[0]), 10)
+    assert len(walks) == 6
+    assert all("step" not in vars(w) for w in walks)
 
 
 def test_evolve_rejects_negative_time(path_complex):
