@@ -81,28 +81,12 @@ class CommunityPartition:
 
 
 def _components(K: SimplicialComplex, n: int, flavor: str) -> tuple[tuple[Simplex, ...], ...]:
-    """Connected components of ``K.adjacency(n, flavor)`` by traversal of its
-    CSR arrays, in order of their first simplex."""
-    adjacency = K.adjacency(n, flavor)
-    bounds, indices = adjacency.indptr.tolist(), adjacency.indices.tolist()
-    group = K.simplices(n)
-    seen = [False] * len(group)
-    components: list[tuple[Simplex, ...]] = []
-    for root in range(len(group)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        members = []
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in indices[bounds[i] : bounds[i + 1]]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        components.append(tuple(group[i] for i in sorted(members)))
-    return tuple(components)
+    """Connected components of ``K.adjacency(n, flavor)``, in order of their
+    first simplex, members in canonical order."""
+    labels, group = K.components(n, flavor), K.simplices(n)
+    order = np.argsort(labels, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return tuple(tuple(group[i] for i in part.tolist()) for part in parts)
 
 
 def exact_down_communities(K: SimplicialComplex, n: int) -> CommunityPartition:

@@ -118,6 +118,7 @@ class SimplicialComplex:
         # lazy caches, keyed by dimension (and flavor)
         self._boundary: dict[int, sp.csc_matrix] = {}
         self._adjacency: dict[tuple[int, str], sp.csr_matrix] = {}
+        self._components: dict[tuple[int, str], np.ndarray] = {}
         self._lower_nbrs: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
 
     def _check_face_closure(self) -> None:
@@ -228,6 +229,27 @@ class SimplicialComplex:
             adjacency.sort_indices()
             self._adjacency[key] = adjacency
         return self._adjacency[key]
+
+    def components(self, n: int, flavor: str) -> np.ndarray:
+        """Connected components of ``adjacency(n, flavor)``: every n-simplex is
+        labelled with the position of its component's first simplex.  Found by
+        traversal of the CSR arrays; cached per dimension and flavor."""
+        key = (n, flavor)
+        if key not in self._components:
+            adjacency = self.adjacency(n, flavor)
+            bounds, indices = adjacency.indptr.tolist(), adjacency.indices.tolist()
+            labels = [-1] * adjacency.shape[0]
+            for root in range(len(labels)):
+                if labels[root] < 0:
+                    labels[root], stack = root, [root]
+                    while stack:
+                        i = stack.pop()
+                        for j in indices[bounds[i] : bounds[i + 1]]:
+                            if labels[j] < 0:
+                                labels[j] = root
+                                stack.append(j)
+            self._components[key] = np.array(labels, dtype=np.int64)
+        return self._components[key]
 
     def lower_neighbors(self, n: int) -> dict[Simplex, tuple[Simplex, ...]]:
         """Lower neighborhood of every n-simplex, as a simplex -> tuple map.

@@ -5,10 +5,12 @@ pair of lower-adjacent n-simplices.  One time step applies a block-diagonal
 Fourier coin (one DFT block per source simplex, sized by its lower
 neighborhood) followed by the shift that swaps every arc with its reverse.
 
-Evolution runs in a degree-class frame: arcs are reordered so that blocks
-of equal degree sit together, and every initial arc of a source evolves at
-once as one column of an ``(m, d)`` block.  A step is then one Fourier
-matmul per degree class (the coin) and one gather along the reverse-arc
+Evolution runs in a component-major frame: arcs are grouped by
+lower-connected component and, inside it, by degree class.  No step leaves a
+component, so every initial arc of a source evolves at once as one column of
+an ``(m_c, d)`` block on its component's m_c arcs, exactly, and every other
+arc keeps amplitude zero.  A step is then one Fourier matmul per degree
+class (the coin) and one gather along the component's reverse-arc
 permutation (the shift).
 
 Two estimators of the long-run weight (flat baseline ``1/m`` on m arcs) are
@@ -83,8 +85,9 @@ class WalkSpace:
     The arcs of ``active[i]`` are ``indptr[i]:indptr[i + 1]`` (sources and,
     inside each block, targets in canonical order); ``target[k]`` is the
     position in ``active`` of arc ``k``'s target and ``reverse[k]`` the index
-    of its reverse.  ``index`` maps each active simplex to its position.
-    Simplices without lower neighbors take no part and are listed separately.
+    of its reverse; ``component[i]`` numbers the lower-connected component of
+    ``active[i]`` in order of first simplex.  ``index`` maps each active
+    simplex to its position.  Isolated simplices are listed separately.
     """
 
     n: int
@@ -94,6 +97,7 @@ class WalkSpace:
     indptr: np.ndarray = field(repr=False, compare=False)
     target: np.ndarray = field(repr=False, compare=False)
     reverse: np.ndarray = field(repr=False, compare=False)
+    component: np.ndarray = field(repr=False, compare=False)
 
     def __repr__(self) -> str:
         return (
@@ -176,6 +180,7 @@ def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
         # the adjacency is symmetric, so listing the arcs by (target, source)
         # lists the reverse of every arc in basis order
         reverse=np.argsort(adjacency.indices, kind="stable"),
+        component=np.unique(K.components(n, "lower")[rows], return_inverse=True)[1],
     )
 
 
@@ -207,42 +212,45 @@ def shift_operator(space: WalkSpace) -> sp.csr_matrix:
 class _ArcFrame:
     """The arc order the evolution kernel works in.
 
-    Blocks are grouped into degree classes, in ascending degree.  Inside a
-    class of ``count`` blocks of degree ``k`` the frame is slot-major:
-    position ``offset + a * count + j`` holds arc ``a`` of the class's j-th
-    block.  An ``(m, d)`` state's class slice then reshapes, without a
-    copy, to ``(k, count * d)``, so one ``k x k`` Fourier matmul applies the
-    coin to every block of the class.
+    Blocks are grouped by lower-connected component, in order of first
+    simplex, and inside one into degree classes, in ascending degree.
+    ``components[c]`` holds component c's frame slice, its reverse-arc
+    permutation and its classes ``(slice, k, coin)``, both local to that
+    slice (c as in ``WalkSpace.component``).  Inside a class of ``count``
+    blocks of degree ``k`` the frame is slot-major: position
+    ``offset + a * count + j`` holds arc ``a`` of the class's j-th block.
+    An ``(m_c, d)`` state's class slice then reshapes, without a copy, to
+    ``(k, count * d)``, so one ``k x k`` Fourier matmul applies the coin
+    to every block of the class.
     """
 
     arcs: np.ndarray  # frame position -> arc index
     position: np.ndarray  # arc index -> frame position
-    reverse: np.ndarray  # frame position -> frame position of the reverse arc
     source: np.ndarray  # frame position -> active index of the arc's source
-    classes: tuple[tuple[slice, int, np.ndarray], ...]  # (frame slice, k, coin)
+    components: tuple[tuple[slice, np.ndarray, tuple], ...]  # (slice, reverse, classes)
 
 
 def _arc_frame(space: WalkSpace) -> _ArcFrame:
-    degrees = space.degrees
-    starts = space.indptr[:-1]
+    degrees, component = space.degrees, space.component
+    # one stable sort of the blocks by (component, degree); runs of equal keys are classes
+    order = np.lexsort((degrees, component))
+    cuts = np.flatnonzero(np.diff(component[order]) | np.diff(degrees[order])) + 1
+    coins = {k: fourier_block(k) for k in np.unique(degrees).tolist()}
     parts = [np.zeros(0, dtype=np.int64)]
-    classes = []
-    offset = 0
-    for k in np.unique(degrees).tolist():
-        blocks = np.flatnonzero(degrees == k)
-        parts.append((starts[blocks] + np.arange(k)[:, None]).ravel())
-        classes.append((slice(offset, offset + k * len(blocks)), k, fourier_block(k)))
-        offset += k * len(blocks)
+    sizes = [0] * (component.max(initial=-1) + 1)
+    classes: list[list] = [[] for _ in sizes]
+    for blocks in np.split(order, cuts) if len(order) else []:
+        c, k = int(component[blocks[0]]), int(degrees[blocks[0]])
+        parts.append((space.indptr[blocks] + np.arange(k)[:, None]).ravel())
+        classes[c].append((slice(sizes[c], sizes[c] + parts[-1].size), k, coins[k]))
+        sizes[c] += parts[-1].size
     arcs = np.concatenate(parts)
     position = np.empty_like(arcs)
     position[arcs] = np.arange(space.m)
-    return _ArcFrame(
-        arcs=arcs,
-        position=position,
-        reverse=position[space.reverse[arcs]],
-        source=space.source[arcs],
-        classes=tuple(classes),
-    )
+    reverse, starts = position[space.reverse[arcs]], (np.cumsum(sizes) - sizes).tolist()
+    components = tuple((slice(a, a + size), reverse[a : a + size] - a, tuple(classes[c]))
+                       for c, (a, size) in enumerate(zip(starts, sizes)))
+    return _ArcFrame(arcs, position, space.source[arcs], components)
 
 
 @dataclass(frozen=True)
@@ -278,19 +286,19 @@ def basis_state(walk: UnitaryWalk, source, target) -> np.ndarray:
     return psi
 
 
-def _evolution(walk: UnitaryWalk, psi: np.ndarray, t_max: int):
-    """Step an ``(m, d)`` frame-ordered state in place ``t_max`` times,
-    yielding it after each step.  The yielded array is overwritten by the
-    next step."""
-    frame = walk.frame
+def _evolution(component, psi: np.ndarray, t_max: int):
+    """Step an ``(m_c, d)`` state on one component's frame slice in place
+    ``t_max`` times, yielding it after each step.  The yielded array is
+    overwritten by the next step."""
+    _, reverse, classes = component
     coined = np.empty_like(psi)
     for _ in range(t_max):
-        for part, k, fourier in frame.classes:
+        for part, k, fourier in classes:
             np.matmul(fourier, psi[part].reshape(k, -1), out=coined[part].reshape(k, -1))
         # the indices are a permutation, so no index is ever clipped; in
         # the default mode numpy would copy through a buffer instead of
         # writing straight into psi
-        np.take(coined, frame.reverse, axis=0, out=psi, mode="clip")
+        np.take(coined, reverse, axis=0, out=psi, mode="clip")
         yield psi
 
 
@@ -301,7 +309,8 @@ def _arc_mass(psi: np.ndarray) -> np.ndarray:
 
 
 def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
-    """Apply ``t`` walk steps to a state (no matrix powers, no sparse products)."""
+    """Apply ``t`` walk steps to a state (no matrix powers, no sparse products),
+    one lower-connected component at a time."""
     if t < 0:
         raise InvalidParameterError("number of steps must be >= 0")
     psi = np.asarray(state, dtype=np.complex128)
@@ -310,19 +319,23 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
             f"state has shape {psi.shape}, expected ({walk.space.m},)"
         )
     block = psi[walk.frame.arcs, None]
-    for _ in _evolution(walk, block, t):
-        pass
+    for component in walk.frame.components:
+        for _ in _evolution(component, block[component[0]], t):
+            pass
     return block[walk.frame.position, 0]
 
 
 def _source_evolution(walk: UnitaryWalk, source: Simplex, t_max: int):
     """Evolve every initial arc of an active source together, one column
-    each; returns the source's degree and the step iterator."""
+    each, on the source's component only; returns the source's degree, the
+    component's frame slice and the step iterator over its ``(m_c, d)`` state."""
     blk = walk.space.block(source)
     d = blk.stop - blk.start
-    psi = np.zeros((walk.space.m, d), dtype=np.complex128)
-    psi[walk.frame.position[blk], np.arange(d)] = 1.0
-    return d, _evolution(walk, psi, t_max)
+    component = walk.frame.components[walk.space.component[walk.space.index[source]]]
+    part = component[0]
+    psi = np.zeros((part.stop - part.start, d), dtype=np.complex128)
+    psi[walk.frame.position[blk] - part.start, np.arange(d)] = 1.0
+    return d, part, _evolution(component, psi, t_max)
 
 
 def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
@@ -341,11 +354,11 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
         raise InvalidParameterError("t_max must be >= 1")
     space = walk.space
     sx = space.require_active(source)
-    d_source, steps = _source_evolution(walk, sx, t_max)
-    n_active = len(space.active)
+    d_source, part, steps = _source_evolution(walk, sx, t_max)
+    n_active, source = len(space.active), walk.frame.source[part]
     profile = np.empty((t_max, n_active))
     for t, psi in enumerate(steps):
-        profile[t] = np.bincount(walk.frame.source, _arc_mass(psi), minlength=n_active)
+        profile[t] = np.bincount(source, _arc_mass(psi), minlength=n_active)
     return profile / (d_source * space.degrees)
 
 
@@ -381,11 +394,11 @@ def finite_time_average(
         raise InvalidParameterError("time_steps must be >= 1")
     space = walk.space
     sx = space.require_active(source)
-    d_source, steps = _source_evolution(walk, sx, time_steps)
-    mass = np.zeros(space.m)
+    d_source, part, steps = _source_evolution(walk, sx, time_steps)
+    mass = np.zeros(part.stop - part.start)
     for psi in steps:
         mass += _arc_mass(psi)
-    total = np.bincount(walk.frame.source, mass, minlength=len(space.active))
+    total = np.bincount(walk.frame.source[part], mass, minlength=len(space.active))
     mean = total / (time_steps * d_source * space.degrees)
     return TransitionTable(
         source=sx,

@@ -243,6 +243,16 @@ def test_isolated_triangle_is_singleton(karate):
         assert walked == {(20, 21, 22), (20, 21, 23), (20, 22, 23), (21, 22, 23)}
 
 
+@pytest.mark.parametrize("threshold", ["strict", "geq"])
+def test_many_small_components_detected_exactly(threshold):
+    # 300 disjoint K4s: each seed's walk stays on its own four triangles
+    k4s = [(u + 4 * i, v + 4 * i) for i in range(300) for u in range(1, 5) for v in range(u + 1, 5)]
+    K = clique_complex(k4s, max_dim=3)
+    part = detect_communities(K, 2, threshold=threshold)
+    assert part == exact_down_communities(K, 2)
+    assert len(part) == 300
+
+
 def test_two_member_walk_sits_at_threshold(karate):
     # the two 4-simplices form a two-arc swap walk whose average weight equals
     # the 1/m baseline exactly: strict keeps them apart, geq merges them

@@ -32,7 +32,7 @@ import simqwalk.walk as walk_module
 from simqwalk.walk import _group_phases, _symmetric_eigenpairs
 
 import oracles
-from conftest import BOWTIE_EDGES
+from conftest import BOWTIE_EDGES, K4_EDGES
 
 
 def walk_on(K, n=1):
@@ -349,6 +349,78 @@ def test_kernel_matches_dense_powers(request, name, n):
         assert max(abs(table[s] - dense_mean[s]) for s in space.active) < 1e-12
 
 
+def _random_complex(seed):
+    rng = random.Random(seed)
+    size = rng.randint(7, 11)
+    pairs = [(u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)]
+    return clique_complex([edge for edge in pairs if rng.random() < 0.5], max_dim=3)
+
+
+def _bowtie_and_tetrahedron():
+    # the bowtie's edges and a relabelled tetrahedron's edges: two components
+    return clique_complex(BOWTIE_EDGES + [(u + 10, v + 10) for u, v in K4_EDGES], max_dim=3)
+
+
+@pytest.mark.parametrize("case", ["karate", "union"])
+def test_each_seed_evolves_exactly_on_its_own_component(karate, case):
+    # karate n = 2 has components of 292 and 10 arcs
+    walk = walk_on(karate, 2) if case == "karate" else walk_on(_bowtie_and_tetrahedron(), 1)
+    space = walk.space
+    assert space.component.max() == 1
+    horizon = 6
+    for c in (0, 1):
+        outside = space.component != c
+        source = space.active[np.flatnonzero(~outside)[0]]
+        table = finite_time_average(walk, source, horizon)
+        weights = np.array([table[s] for s in space.active])
+        dense_mean = oracles.finite_average_dense(walk, source, horizon)
+        assert np.abs(weights - [dense_mean[s] for s in space.active]).max() <= table.error
+        assert np.all(weights[outside] == 0.0)
+        profile = transition_profile(walk, source, horizon)
+        assert np.all(profile[:, outside] == 0.0)
+        for t in range(1, horizon + 1):
+            dense = oracles.transition_weights_dense(walk, source, t)
+            assert np.abs(profile[t - 1] - [dense[s] for s in space.active]).max() <= table.error
+    rng = np.random.default_rng(17)
+    state = rng.normal(size=space.m) + 1j * rng.normal(size=space.m)
+    for t in range(1, 6):
+        expected = np.linalg.matrix_power(walk.step.toarray(), t) @ state
+        assert np.abs(evolve(walk, state, t) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("karate", n) for n in (1, 2, 3, 4)]
+    + [(f"random{seed}", n) for seed in (1, 2, 3, 4) for n in (1, 2)]
+    + [("union", 1)],
+)
+def test_frame_is_component_major(karate, name, n):
+    if name == "karate":
+        K = karate
+    else:
+        K = _bowtie_and_tetrahedron() if name == "union" else _random_complex(int(name[6:]))
+        if n > K.max_dim or not K.arc_count(n):
+            pytest.skip("no arcs at this dimension")
+    walk = walk_on(K, n)
+    space, frame = walk.space, walk.frame
+    assert np.array_equal(np.sort(frame.arcs), np.arange(space.m))
+    assert np.array_equal(frame.position[frame.arcs], np.arange(space.m))
+    found = set()
+    for c, (part, reverse, classes) in enumerate(frame.components):
+        arcs, members = frame.arcs[part], np.unique(frame.source[part])
+        assert np.all(space.component[members] == c)
+        found.add(frozenset(space.active[i] for i in members.tolist()))
+        # closed under reverse, through the component's own permutation
+        assert np.array_equal(np.sort(reverse), np.arange(len(arcs)))
+        assert np.array_equal(arcs[reverse], space.reverse[arcs])
+        # the classes tile the slice in ascending degree
+        bounds = [(cls.start, cls.stop) for cls, _, _ in classes]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == len(arcs)
+        assert [k for _, k, _ in classes] == sorted({k for _, k, _ in classes})
+    assert found == {c for c in oracles.down_components(K, n) if len(c) > 1}
+
+
 def test_isolated_source_rejected(karate_walk_n2):
     with pytest.raises(IsolatedSimplexError):
         finite_time_average(karate_walk_n2, (25, 26, 32))
@@ -510,11 +582,7 @@ def test_spectrum_matches_schur_karate(karate, n):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_spectrum_matches_schur_random_complexes(seed):
-    rng = random.Random(seed)
-    size = rng.randint(7, 11)
-    pairs = [(u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)]
-    edges = [edge for edge in pairs if rng.random() < 0.5]
-    K = clique_complex(edges, max_dim=3)
+    K = _random_complex(seed)
     for n in (1, 2):
         if n <= K.max_dim and K.arc_count(n):
             walk = walk_on(K, n)
