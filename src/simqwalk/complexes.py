@@ -1,11 +1,11 @@
 """Simplicial complexes built from graphs, with boundary and adjacency structure.
 
-A simplex is represented as a tuple of strictly increasing positive vertex
-ids; the ascending order is the canonical orientation used by every signed
-matrix in the library.  A :class:`SimplicialComplex` stores, per dimension,
-the lexicographically sorted list of simplices, and exposes the incidence
-(boundary) matrices, upper/lower adjacency, degrees, and lower neighborhoods
-that the walk and community layers are built on.
+A simplex is a tuple of strictly increasing positive vertex ids, the
+canonical orientation of every signed matrix in the library.  A
+:class:`SimplicialComplex` stores the ascending vertex ids once and, per
+dimension, a lexicographically sorted ``(N_n, n+1)`` int64 array of
+positions into them; it builds the tuples, boundary matrices, adjacency,
+degrees and lower neighborhoods that the other layers read on first use.
 
 All integer matrices are exact: no floating point enters this module.
 """
@@ -13,6 +13,7 @@ All integer matrices are exact: no floating point enters this module.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,29 +41,23 @@ __all__ = [
 ]
 
 
+def _integral(v) -> bool:
+    """Whether a vertex id is an integer value (integral floats are, booleans are not)."""
+    try:
+        return not isinstance(v, (bool, np.bool_)) and int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def canonical_simplex(vertices: Iterable[int]) -> Simplex:
-    """Return the canonical (ascending) form of a vertex sequence.
+    """The canonical form of positive (1-indexed) vertex ids given in any
+    order: sorted ascending, which doubles as the simplex's orientation.
 
-    Parameters
-    ----------
-    vertices : iterable of int
-        Positive (1-indexed) vertex ids, in any order.
-
-    Returns
-    -------
-    tuple of int
-        The vertices sorted ascending.  The ascending order doubles as the
-        canonical orientation of the simplex.
-
-    Raises
-    ------
-    InvalidParameterError
-        If the sequence is empty or holds a non-positive, non-integral or boolean id.
-    DegenerateSimplexError
-        If a vertex id repeats.
+    Raises InvalidParameterError for an empty sequence or a non-positive,
+    non-integral or boolean id, and DegenerateSimplexError for a repeated id.
     """
     vs = tuple(vertices)
-    if any(isinstance(v, (bool, np.bool_)) or int(v) != v or v < 1 for v in vs):
+    if not all(_integral(v) and v >= 1 for v in vs):
         raise InvalidParameterError(f"vertex ids must be integers >= 1, got {vs}")
     vs = tuple(int(v) for v in vs)
     if not vs:
@@ -75,91 +70,114 @@ def canonical_simplex(vertices: Iterable[int]) -> Simplex:
 
 
 def faces(simplex: Sequence[int], k: int) -> list[Simplex]:
-    """All k-dimensional faces of a simplex, in lexicographic order.
-
-    Requires ``0 <= k < dim(simplex)``; the result has ``C(dim+1, k+1)``
-    entries.
-    """
+    """All k-dimensional faces of a simplex, in lexicographic order
+    (``C(dim+1, k+1)`` of them); requires ``0 <= k < dim(simplex)``."""
     n = len(simplex) - 1
     if not 0 <= k < n:
         raise InvalidParameterError(f"face dimension {k} invalid for a {n}-simplex")
     return [tuple(c) for c in itertools.combinations(simplex, k + 1)]
 
 
+def _positions(simplices_by_dim: Mapping[int, Iterable[Sequence[int]]]):
+    """Vertex tuples as ``(ids, positions, sorted tuples)``; a vertex that is
+    no integer, or in a simplex of the wrong length, gets position -1."""
+    shown = {n: sorted(set(group)) for n, group in simplices_by_dim.items()}
+    values = sorted({int(v) for group in shown.values() for s in group for v in s if _integral(v)})
+    at = {v: i for i, v in enumerate(values)}
+    cells = {n: np.array([[at[v] if _integral(v) else -1 for v in s] if len(s) == n + 1
+                          else [-1] * (n + 1) for s in group], dtype=np.int64).reshape(-1, n + 1)
+             for n, group in shown.items()}
+    return np.array(values, dtype=object), cells, shown
+
+
 class SimplicialComplex:
     """An immutable simplicial complex, closed under taking faces.
 
-    Simplices are grouped by dimension and kept in lexicographic order;
-    every matrix produced by this class indexes rows/columns in that order.
-    Construct instances with :func:`clique_complex` rather than directly.
+    Every matrix of the class orders each dimension's simplices
+    lexicographically.  ``simplices_by_dim`` maps dimensions to vertex tuples;
+    :func:`clique_complex` passes ``ids`` (ascending vertex ids) with sorted
+    ``(N_n, n+1)`` position arrays.  Both are checked the same way.
     """
 
-    def __init__(self, simplices_by_dim: Mapping[int, Iterable[Simplex]]):
-        by_dim: dict[int, tuple[Simplex, ...]] = {}
-        for n, group in simplices_by_dim.items():
-            items = sorted(set(group))
-            if not items:
-                continue
-            for s in items:
-                if len(s) != n + 1:
-                    raise InvalidParameterError(f"{s} is not a {n}-simplex")
-                if s[0] < 1 or any(a >= b for a, b in zip(s, s[1:])):
-                    raise InvalidParameterError(f"{s} is not canonical (ascending, ids >= 1)")
-            by_dim[n] = tuple(items)
-        if not by_dim:
+    def __init__(self, simplices_by_dim: Mapping[int, Iterable], ids: np.ndarray | None = None):
+        shown = None
+        if ids is None:
+            ids, simplices_by_dim, shown = _positions(simplices_by_dim)
+        positive = np.append(ids >= 1, False)  # position -1 is never valid
+        for n, cells in simplices_by_dim.items():
+            bad = ~positive[cells[:, 0]] | (cells < 0).any(axis=1)
+            bad |= (np.diff(cells) <= 0).any(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                s = shown[n][i] if shown else tuple(ids[cells[i]].tolist())
+                raise InvalidParameterError(f"{s} is not a {n}-simplex" if len(s) != n + 1
+                                            else f"{s} is not canonical (ascending, ids >= 1)")
+        self._ids = ids
+        self._cells = {n: c for n, c in sorted(simplices_by_dim.items()) if len(c)}
+        if not self._cells:
             raise InvalidParameterError("empty complex")
-        self._by_dim = {n: by_dim[n] for n in sorted(by_dim)}
-        self._index = {
-            s: (n, i)
-            for n, group in self._by_dim.items()
-            for i, s in enumerate(group)
-        }
-        self._check_face_closure()
+        # Per dimension, the rows of the faces (column f drops vertex n - f) and the
+        # ascending search keys: the row of the first n vertices, and the last.
+        self._faces, self._keys = {}, {}
+        for n, cells in self._cells.items():
+            keep = [[c for c in range(n + 1) if c != k] for k in range(n, -1, -1)]
+            faces = cells[:, np.array(keep, dtype=np.intp).reshape(n + 1, n)]
+            rank = self._rank(faces.reshape(len(cells) * (n + 1), n)).reshape(-1, n + 1)
+            if (rank < 0).any():
+                i, f = np.unravel_index(np.argmax(rank < 0), rank.shape)
+                s, k = tuple(ids[cells[i]].tolist()), n - f
+                raise InvalidParameterError(
+                    f"complex not closed under faces: {s[:k] + s[k + 1:]} of {s} missing")
+            self._faces[n], self._keys[n] = rank, rank[:, 0] * len(ids) + cells[:, -1]
         # lazy caches, keyed by dimension (and flavor)
-        self._boundary: dict[int, sp.csc_matrix] = {}
+        self._tuples, self._boundary, self._lower_nbrs = {}, {}, {}
         self._adjacency: dict[tuple[int, str], sp.csr_matrix] = {}
         self._components: dict[tuple[int, str], np.ndarray] = {}
-        self._lower_nbrs: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
 
-    def _check_face_closure(self) -> None:
-        for n, group in self._by_dim.items():
-            if n == 0:
-                continue
-            for s in group:
-                for f in faces(s, n - 1):
-                    if f not in self._index:
-                        raise InvalidParameterError(
-                            f"complex not closed under faces: {f} of {s} missing"
-                        )
+    def _rank(self, rows: np.ndarray) -> np.ndarray:
+        """Row of each simplex, given as vertex positions, within its dimension;
+        -1 if absent.  Looks its prefixes up one dimension at a time; an absent
+        prefix makes a negative key, which matches nothing."""
+        rank = np.zeros(len(rows), dtype=np.int64)
+        for j in range(rows.shape[1]):
+            keys, query = self._keys.get(j, rank[:0]), rank * len(self._ids) + rows[:, j]
+            hit = np.searchsorted(keys, query)
+            found = hit < len(keys)
+            found[found] = keys[hit[found]] == query[found]
+            rank = np.where(found, hit, -1)
+        return rank
+
+    @cached_property
+    def _index(self) -> dict[Simplex, tuple[int, int]]:
+        return {s: (n, i) for n in self._cells for i, s in enumerate(self.simplices(n))}
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def max_dim(self) -> int:
         """Highest dimension with at least one simplex."""
-        return max(self._by_dim)
+        return max(self._cells)
 
     @property
     def counts(self) -> dict[int, int]:
         """Number of simplices per dimension."""
-        return {n: len(g) for n, g in self._by_dim.items()}
+        return {n: len(c) for n, c in self._cells.items()}
 
     def simplices(self, n: int) -> tuple[Simplex, ...]:
-        """The n-simplices in canonical order (empty tuple if none)."""
-        return self._by_dim.get(n, ())
+        """The n-simplices in canonical order (empty tuple if none).  Cached."""
+        if n not in self._tuples and n in self._cells:
+            self._tuples[n] = tuple(map(tuple, self._ids[self._cells[n]].tolist()))
+        return self._tuples.get(n, ())
 
     def num_simplices(self, n: int) -> int:
-        return len(self._by_dim.get(n, ()))
+        return len(self._cells.get(n, ()))
 
     def __contains__(self, simplex: Sequence[int]) -> bool:
         return tuple(simplex) in self._index
 
     def position(self, simplex: Sequence[int]) -> int:
         """Index of a simplex within its dimension's canonical ordering."""
-        try:
-            return self._index[tuple(simplex)][1]
-        except KeyError:
-            raise UnknownSimplexError(f"{tuple(simplex)} not in complex") from None
+        return self._index[self._require(simplex)][1]
 
     def _require(self, simplex: Sequence[int], n: int | None = None) -> Simplex:
         s = tuple(simplex)
@@ -186,18 +204,12 @@ class SimplicialComplex:
         """
         self._require_dim(n, low=1)
         if n not in self._boundary:
-            rows_of, cols_of = np.array(self._by_dim[n - 1]), np.array(self._by_dim[n])
-            # face k of every simplex drops vertex k; its row is its rank
-            # among the sorted (n-1)-simplices, all of which are listed once
-            faces = np.concatenate([cols_of[:, keep] for keep in ~np.eye(n + 1, dtype=bool)])
-            stacked = np.concatenate([rows_of, faces])
-            order = np.lexsort(stacked.T[::-1])
-            ranked, rank = stacked[order], np.empty(len(stacked), dtype=np.int64)
-            rank[order] = np.cumsum(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]) - 1
-            signs = np.repeat((-1) ** np.arange(n + 1), len(cols_of))
-            entries = (signs, (rank[len(rows_of) :], np.tile(np.arange(len(cols_of)), n + 1)))
-            shape = (len(rows_of), len(cols_of))
-            self._boundary[n] = sp.csc_matrix(entries, shape=shape, dtype=np.int64)
+            # the face rows found when the complex was checked; column f drops vertex n - f
+            rank = self._faces[n]
+            signs = np.tile((-1) ** np.arange(n, -1, -1), len(rank))
+            bounds = np.arange(0, rank.size + 1, n + 1)
+            self._boundary[n] = sp.csc_matrix(
+                (signs, rank.ravel(), bounds), shape=(self.num_simplices(n - 1), len(rank)))
         return self._boundary[n]
 
     # -- adjacency ----------------------------------------------------------
@@ -223,7 +235,7 @@ class SimplicialComplex:
             elif n < self.max_dim:
                 incidence = abs(self.boundary_matrix(n + 1))
             else:
-                incidence = sp.csr_matrix((len(self._by_dim[n]), 0), dtype=np.int64)
+                incidence = sp.csr_matrix((self.num_simplices(n), 0), dtype=np.int64)
             gram = incidence @ incidence.T
             adjacency = (sp.triu(gram, 1) + sp.tril(gram, -1)).tocsr()
             adjacency.sort_indices()
@@ -252,16 +264,13 @@ class SimplicialComplex:
         return self._components[key]
 
     def lower_neighbors(self, n: int) -> dict[Simplex, tuple[Simplex, ...]]:
-        """Lower neighborhood of every n-simplex, as a simplex -> tuple map.
-
-        Two n-simplices are lower-adjacent when they share an (n-1)-face.
-        The map covers all n-simplices, neighbors in canonical order; isolated
-        ones map to the empty tuple.  A cached view of the lower adjacency.
-        """
+        """Every n-simplex mapped to the tuple of n-simplices it shares an
+        (n-1)-face with, in canonical order (empty if isolated).  A cached
+        view of the lower adjacency."""
         self._require_dim(n, low=1)
         if n not in self._lower_nbrs:
             adjacency = self.adjacency(n, "lower")
-            group = self._by_dim[n]
+            group = self.simplices(n)
             targets = [group[j] for j in adjacency.indices.tolist()]
             bounds = adjacency.indptr.tolist()
             self._lower_nbrs[n] = {
@@ -299,71 +308,60 @@ class SimplicialComplex:
         raise InvalidParameterError(f"unknown degree flavor {flavor!r}")
 
     def __repr__(self) -> str:
-        counts = ", ".join(f"N_{n}={len(g)}" for n, g in self._by_dim.items())
+        counts = ", ".join(f"N_{n}={c}" for n, c in self.counts.items())
         return f"SimplicialComplex({counts})"
 
 
 # -- construction -------------------------------------------------------------
 
 
-def _bounded_cliques(
-    neighbors: dict[int, set[int]], max_size: int
-) -> Iterable[Simplex]:
-    """Every clique of the graph with at most ``max_size`` vertices.
-
-    Cliques are grown in ascending vertex order, so each one is produced
-    exactly once, already sorted.
-    """
-
-    def extend(clique: Simplex, candidates: list[int]) -> Iterable[Simplex]:
-        yield clique
-        if len(clique) == max_size:
-            return
-        for i, v in enumerate(candidates):
-            narrowed = [u for u in candidates[i + 1 :] if u in neighbors[v]]
-            yield from extend(clique + (v,), narrowed)
-
-    vertices = sorted(neighbors)
-    for i, v in enumerate(vertices):
-        cand = [u for u in vertices[i + 1 :] if u in neighbors[v]]
-        yield from extend((v,), cand)
-
-
 def clique_complex(edges: Iterable[Sequence[int]], max_dim: int = 4) -> SimplicialComplex:
-    """Build the clique complex of a graph given as an edge list.
+    """The clique complex of an undirected graph over positive integer vertex
+    ids: every clique of at most ``max_dim + 1 >= 2`` vertices, whatever the
+    order and repetition of the edges.  Each row of one size is extended by
+    the larger neighbours of its last vertex that are adjacent to all its
+    other vertices, so the rows come out in lexicographic order.
 
-    Every clique of the graph with at most ``max_dim + 1`` vertices becomes a
-    simplex.  The result is independent of edge order and duplicate edges.
-
-    Parameters
-    ----------
-    edges : iterable of (int, int)
-        Undirected edges over positive 1-indexed vertex ids.
-    max_dim : int
-        Largest simplex dimension to include; must be >= 1.
-
-    Raises
-    ------
-    InvalidParameterError
-        If ``max_dim < 1``.
-    InvalidEdgeError
-        If an edge is a self-loop or has a non-positive vertex id.
+    Raises InvalidParameterError if ``max_dim < 1``, InvalidEdgeError for an
+    edge that is not two integer ids, a self-loop or a non-positive id.
     """
     if max_dim < 1:
         raise InvalidParameterError(f"max_dim must be >= 1, got {max_dim}")
-    neighbors: dict[int, set[int]] = {}
-    for e in edges:
-        u, v = (int(x) for x in e)
-        if u == v:
-            raise InvalidEdgeError(f"self-loop at vertex {u}")
-        if u < 1 or v < 1:
-            raise InvalidEdgeError(f"vertex ids must be >= 1, got ({u}, {v})")
-        neighbors.setdefault(u, set()).add(v)
-        neighbors.setdefault(v, set()).add(u)
-    by_dim: dict[int, list[Simplex]] = {}
-    for clique in _bounded_cliques(neighbors, max_dim + 1):
-        by_dim.setdefault(len(clique) - 1, []).append(clique)
-    return SimplicialComplex(by_dim)
+    edges = [tuple(e) for e in edges]
+    if {len(e) for e in edges} - {2} or {type(v) for e in edges for v in e} - {int}:
+        for e in edges:
+            if len(e) != 2 or not all(map(_integral, e)):
+                raise InvalidEdgeError(f"edge {e} does not join two integer vertex ids")
+        edges = [(int(u), int(v)) for u, v in edges]
+    pairs = np.array(edges).reshape(-1, 2)
+    if pairs.dtype != np.int64:  # ids beyond int64 stay Python ints, never floats
+        pairs = np.array(edges, dtype=object).reshape(-1, 2)
+    bad = (pairs[:, 0] == pairs[:, 1]) | (pairs < 1).any(axis=1)
+    if bad.any():
+        u, v = edges[int(np.argmax(bad))]
+        raise InvalidEdgeError(f"self-loop at vertex {u}" if u == v
+                               else f"vertex ids must be >= 1, got ({u}, {v})")
+    ids, position = np.unique(pairs, return_inverse=True)
+    size = len(ids)
+    # each edge once, as the key lo * size + hi of its sorted positions
+    keys = np.unique(np.sort(position.reshape(-1, 2), axis=1) @ np.array([size, 1]))
+    lo, hi = np.divmod(keys, size)
+    # the larger neighbours of vertex v are hi[start[v]:start[v + 1]]
+    start = np.searchsorted(lo, np.arange(size + 1))
+    cells = {0: np.arange(size).reshape(-1, 1), 1: np.column_stack([lo, hi])}
+    for n in range(2, max_dim + 1):
+        clique, last = cells[n - 1], cells[n - 1][:, -1]
+        count = start[last + 1] - start[last]
+        row = np.repeat(np.arange(len(clique)), count)
+        new = hi[np.arange(len(row)) + np.repeat(start[last] - np.cumsum(count) + count, count)]
+        for j in range(n - 1):
+            query = clique[row, j] * size + new
+            keep = keys[np.searchsorted(keys, query).clip(max=len(keys) - 1)] == query
+            row, new = row[keep], new[keep]
+        if not len(row):
+            break
+        cells[n] = np.column_stack([clique[row], new])
+    return SimplicialComplex(cells, ids=ids)
 
 
 # -- edge-list ingestion --------------------------------------------------------

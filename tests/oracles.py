@@ -1,15 +1,17 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately written against different machinery than the
-implementation under test: adjacency comes from direct vertex-set overlap
-instead of the unsigned boundary Gram matrix, evolution from dense matrix
-powers instead of the batched degree-class kernel, components from union-find
-instead of a traversal of the sparse adjacency, modularity from a dense
-modularity matrix instead of per-community counts, Hodge Laplacians from
-dense boundary matrices built by face enumeration instead of the library's
-sparse incidence matrices, and the spectrum of the step operator from a dense
-complex Schur form with per-seed group projectors instead of a real
-symmetric ``eigh`` in the reverse-arc basis with one all-seed product.
+implementation under test: cliques come from testing every vertex subset
+instead of extending sorted rows by neighbour lists, adjacency from direct
+vertex-set overlap instead of the unsigned boundary Gram matrix, evolution
+from dense matrix powers instead of the batched degree-class kernel,
+components from union-find instead of a traversal of the sparse adjacency,
+modularity from a dense modularity matrix instead of per-community counts,
+Hodge Laplacians from dense boundary matrices built by face enumeration
+instead of the library's sparse incidence matrices, and the spectrum of the
+step operator from a dense complex Schur form with per-seed group projectors
+instead of a real symmetric ``eigh`` in the reverse-arc basis with one
+all-seed product.
 """
 
 import itertools
@@ -40,6 +42,23 @@ class UnionFind:
         for x in self.parent:
             out.setdefault(self.find(x), []).append(x)
         return [sorted(g) for g in out.values()]
+
+
+def cliques_brute_force(edges, max_dim):
+    """Every vertex subset of at most ``max_dim + 1`` vertices whose pairs are
+    all edges, by dimension, each one ascending and in lexicographic order;
+    dimensions without a clique are left out."""
+    adjacent = {frozenset(e) for e in edges}
+    vertices = sorted({v for e in edges for v in e})
+    out = {}
+    for size in range(1, max_dim + 2):
+        found = [
+            c for c in itertools.combinations(vertices, size)
+            if all(frozenset(p) in adjacent for p in itertools.combinations(c, 2))
+        ]
+        if found:
+            out[size - 1] = found
+    return out
 
 
 def lower_adjacent(a, b):
@@ -145,14 +164,16 @@ def boundary_dense(K, n):
 
 def laplacian_dense(K, n):
     """Dense int64 ``(up, down, total)`` Hodge Laplacians of the n-simplices,
-    as Gram products of :func:`boundary_dense`; ``down`` is zero at n = 0."""
-    b_up = boundary_dense(K, n + 1)
-    up = b_up @ b_up.T
+    as Gram products of :func:`boundary_dense`; ``down`` is zero at n = 0.
+    The products run in float64, which holds these small integer sums
+    exactly and takes a BLAS product instead of numpy's integer loop."""
+    b_up = boundary_dense(K, n + 1).astype(np.float64)
+    up = (b_up @ b_up.T).astype(np.int64)
     if n == 0:
         down = np.zeros_like(up)
     else:
-        b = boundary_dense(K, n)
-        down = b.T @ b
+        b = boundary_dense(K, n).astype(np.float64)
+        down = (b.T @ b).astype(np.int64)
     return up, down, up + down
 
 

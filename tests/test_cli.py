@@ -269,6 +269,21 @@ def test_dot_only_for_detect(edges_file, capsys):
     capsys.readouterr()
 
 
+def test_vertex_ids_beyond_int64(tmp_path):
+    big = 10**20
+    path = tmp_path / "big.txt"
+    path.write_text(f"1 2\n2 {big}\n1 {big}\n")
+    _, text = run_cli(["build", str(path)], tmp_path / "b.json")
+    assert json.loads(text) == {"max_dim": 2, "counts": {"0": 3, "1": 3, "2": 1}}
+    _, text = run_cli(["spectrum", "--dim", "1", str(path)], tmp_path / "s.json")
+    assert json.loads(text) == {"dim": 1, "eigenvalues": [3.0, 3.0, 3.0], "betti": 0}
+    _, text = run_cli(["detect", "--dim", "1", str(path)], tmp_path / "d.json")
+    doc = json.loads(text)
+    assert doc["communities"] == [[[1, 2], [2, big]], [[1, big]]]
+    assert doc["modularity"] == -0.222222222222
+    assert f"{big}" in text
+
+
 def test_self_loop_input_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from simqwalk import (
     DegenerateSimplexError,
     InvalidEdgeError,
     InvalidParameterError,
+    SimplicialComplex,
     UnknownSimplexError,
     canonical_simplex,
     clique_complex,
@@ -92,6 +94,54 @@ def test_clique_complex_rejects_bad_max_dim():
         clique_complex([(1, 2)], max_dim=0)
 
 
+@pytest.mark.parametrize(
+    "edge", [(1.5, 2), (1, np.float64(2.7)), (True, 2), (1, np.True_), (1, "4"), (1, 2, 3)]
+)
+def test_clique_complex_rejects_non_integral_ids(edge):
+    with pytest.raises(InvalidEdgeError, match=re.escape(f"edge {edge} ")) as info:
+        clique_complex([(2, 3), edge], max_dim=2)
+    assert "\n" not in str(info.value)
+
+
+def test_clique_complex_accepts_integral_ids_of_any_type():
+    K = clique_complex([(np.int64(1), 2.0), (2, np.int32(3)), (1.0, 3)], max_dim=2)
+    assert K.simplices(2) == ((1, 2, 3),)
+    assert all(type(v) is int for n in (0, 1, 2) for s in K.simplices(n) for v in s)
+
+
+# Ids around 2**63 would collide if they passed through float64.
+WIDE_IDS = [1, 2, 5, 9, 2**31, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 7, 10**20, 10**20 + 1]
+
+
+def test_clique_enumeration_matches_brute_force():
+    rng = random.Random(2026)
+    above_clique_number = 0
+    for trial in range(60):
+        size = rng.randint(2, 11)
+        labels = rng.sample(WIDE_IDS if trial % 2 else range(1, 60), size)
+        density = rng.choice([0.3, 0.6, 0.9, 1.0])
+        edges = [
+            (labels[a], labels[b])
+            for a in range(size) for b in range(a + 1, size) if rng.random() < density
+        ]
+        if not edges:
+            continue
+        # repeated and reversed edges change nothing
+        edges += rng.sample(edges, len(edges) // 3)
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 2)]
+        rng.shuffle(edges)
+        max_dim = rng.randint(1, 8)
+        K = clique_complex(edges, max_dim=max_dim)
+        above_clique_number += K.max_dim < max_dim
+        expected = oracles.cliques_brute_force(edges, max_dim)
+        assert K.counts == {n: len(group) for n, group in expected.items()}, trial
+        for n in range(max_dim + 2):
+            assert K.simplices(n) == tuple(expected.get(n, ())), (trial, n)
+        for n in range(1, K.max_dim + 1):
+            assert np.array_equal(K.boundary_matrix(n).toarray(), oracles.boundary_dense(K, n))
+    assert above_clique_number >= 10
+
+
 def test_clique_complex_independent_of_edge_order():
     edges = karate_club_edges()
     reference = clique_complex(edges)
@@ -109,6 +159,44 @@ def test_face_closure(karate, bowtie, tetrahedron):
         for n in range(1, K.max_dim + 1):
             for s in K.simplices(n):
                 assert all(f in K for f in faces(s, n - 1))
+
+
+# -- constructor validation ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "by_dim, message",
+    [
+        ({0: [(1,), (2,)], 1: [(1, 2), (1,)]}, "(1,) is not a 1-simplex"),
+        ({1: [(2, 3, 4), (1, 2, 3)]}, "(1, 2, 3) is not a 1-simplex"),
+        ({0: [(1,), (2,)], 1: [(2, 1)]}, "(2, 1) is not canonical (ascending, ids >= 1)"),
+        ({0: [(1,), (0,)]}, "(0,) is not canonical (ascending, ids >= 1)"),
+        ({1: [(3, 2), (2, 1)]}, "(2, 1) is not canonical"),
+        # the first offending simplex in canonical order, whatever its fault
+        ({1: [(2, 1), (1, 2, 3)]}, "(1, 2, 3) is not a 1-simplex"),
+        ({1: [(3,), (2, 1)]}, "(2, 1) is not canonical"),
+        ({0: [(1,), (2,)], 1: [(1, 2), (1, 3)]},
+         "complex not closed under faces: (3,) of (1, 3) missing"),
+        ({0: [(1,)], 1: [(2, 3), (1, 4)]},
+         "complex not closed under faces: (4,) of (1, 4) missing"),
+        ({0: [(1,), (2,)], 1: [(1, 2), (2, 3)], 2: [(1, 2, 3)]},
+         "complex not closed under faces: (3,) of (2, 3) missing"),
+        ({0: [(1,), (2,), (3,)], 1: [(1, 2)], 2: [(1, 2, 3)]},
+         "complex not closed under faces: (1, 3) of (1, 2, 3) missing"),
+        ({}, "empty complex"),
+        ({0: [], 1: []}, "empty complex"),
+    ],
+)
+def test_constructor_rejects_malformed_complexes(by_dim, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        SimplicialComplex(by_dim)
+
+
+def test_constructor_accepts_closed_complex_in_any_order():
+    K = SimplicialComplex({2: [(1, 2, 3)], 1: [(2, 3), (1, 3), (1, 2), (1, 2)], 0: [(3,), (1,), (2,)]})
+    assert K.counts == {0: 3, 1: 3, 2: 1}
+    assert K.simplices(1) == ((1, 2), (1, 3), (2, 3))
+    assert np.array_equal(K.boundary_matrix(2).toarray(), [[1], [-1], [1]])
 
 
 # -- boundary matrices ----------------------------------------------------------

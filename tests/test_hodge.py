@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +7,7 @@ import scipy.sparse as sp
 from simqwalk import (
     InvalidParameterError,
     betti_number,
+    clique_complex,
     hodge_laplacian,
     karate_club_complex,
     karate_club_edges,
@@ -177,3 +180,59 @@ def test_orientation_flip_conjugates_laplacian(karate):
             np.linalg.eigvalsh(total.astype(float)),
             atol=1e-9,
         )
+
+
+# -- per-component spectrum ---------------------------------------------------------
+
+
+def _disjoint_blocks(k4s):
+    """``k4s`` disjoint K4s, then 20 isolated triangles and 10 isolated edges:
+    components of several sizes at every dimension."""
+    edges = [(4 * b + i, 4 * b + j) for b in range(k4s) for i in range(1, 5) for j in range(i + 1, 5)]
+    base = 4 * k4s
+    edges += [(base + 3 * t + i, base + 3 * t + j) for t in range(20) for i, j in ((1, 2), (1, 3), (2, 3))]
+    base += 60
+    edges += [(base + 2 * e + 1, base + 2 * e + 2) for e in range(10)]
+    return clique_complex(edges, max_dim=3)
+
+
+def _random_complex(seed):
+    # seeds 3 and 7 split the triangles into blocks of two and three sizes
+    rng = random.Random(seed)
+    size = rng.randint(14, 20)
+    pairs = [(u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)]
+    return clique_complex([edge for edge in pairs if rng.random() < 0.3], max_dim=4)
+
+
+@pytest.mark.parametrize("name", ["blocks", "karate", "random-3", "random-7"])
+def test_spectrum_matches_dense_eigvalsh(karate, name):
+    if name == "blocks":
+        K = _disjoint_blocks(300)
+    else:
+        K = karate if name == "karate" else _random_complex(int(name[7:]))
+    for n in range(K.max_dim + 1):
+        report = laplacian_spectrum(K, n)
+        want = np.linalg.eigvalsh(oracles.laplacian_dense(K, n)[2].astype(float))
+        assert report.eigenvalues.shape == want.shape
+        assert np.all(np.diff(report.eigenvalues) >= 0)
+        assert np.abs(report.eigenvalues - want).max() <= 1e-10, (name, n)
+        assert report.betti == int(np.count_nonzero(want < 1e-9)), (name, n)
+
+
+def test_spectrum_decomposes_no_matrix_larger_than_a_component(monkeypatch):
+    K = _disjoint_blocks(30)
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for n in range(K.max_dim + 1):
+        shapes.clear()
+        laplacian_spectrum(K, n)
+        parts = oracles.down_components(K, n) if n else oracles.up_components(K, 0)
+        sizes = {len(part) for part in parts}
+        # one batched call per block size, each block no larger than a component
+        assert sorted(shape[-1] for shape in shapes) == sorted(sizes), n
+        assert max(shape[-1] for shape in shapes) <= max(sizes)
