@@ -183,7 +183,7 @@ def _cmd_walk(args) -> tuple[dict, list[str], list[list], str | None]:
         table = finite_time_average(walk, source, args.time_steps)
     else:
         table = long_time_average_spectral(walk, source)
-    entries = sorted(table.values.items())
+    entries = list(zip(walk.space.active, table.weights.tolist()))
     payload = {
         "dim": args.dim,
         "source": _simplex_json(table.source),

@@ -222,9 +222,10 @@ def detect_communities(
 
     Repeatedly seeds a new community at the unassigned simplex with the
     largest lower neighborhood (ties broken canonically), estimates the
-    time-averaged transition weight from the seed to every unassigned
-    simplex, and recruits those whose weight beats ``1/m``.  Isolated
-    simplices follow as singletons, in canonical order, without the walk.
+    time-averaged transition weights from the seed to every active simplex
+    as one array, and recruits the unassigned simplices whose weight beats
+    ``1/m``.  Isolated simplices follow as singletons, in canonical order,
+    without the walk.
 
     Parameters
     ----------
@@ -244,30 +245,26 @@ def detect_communities(
     if time_steps < 1:
         raise InvalidParameterError("time_steps must be >= 1")
     space = build_walk_space(K, n)
-    walk = step_operator(space) if space.active else None
-    spectrum = (
-        unitary_spectrum(walk) if (method == "spectral" and walk is not None) else None
-    )
+    walk = step_operator(space)
+    spectrum = unitary_spectrum(walk) if method == "spectral" and space.m else None
     baseline = 1.0 / space.m if space.m else None
-    degree = space.degrees.tolist()
-    unassigned = dict.fromkeys(range(len(space.active)), True)  # canonical order
+    geq = threshold == "geq"
+    unassigned = np.ones(len(space.active), dtype=bool)
     communities: list[tuple[Simplex, ...]] = []
     # degrees never change, so one stable sort by -degree orders every seed
     for seed in np.argsort(-space.degrees, kind="stable").tolist():
-        if not unassigned.pop(seed, False):
+        if not unassigned[seed]:
             continue
         source = space.active[seed]
         table = (finite_time_average(walk, source, time_steps) if method == "finite"
                  else long_time_average_spectral(walk, source, spectrum))
-        members = [seed]
-        for candidate in list(unassigned):
-            weight = table.values[space.active[candidate]]
-            # a tie is within the error bound: states off by e move a simplex's
-            # masses by 2e each, and its masses over all states sum to its degree
-            band = 2 * table.error * (1 / degree[seed] + 1 / degree[candidate])
-            if weight - baseline > band or (threshold == "geq" and weight - baseline >= -band):
-                members.append(candidate)
-                del unassigned[candidate]
-        communities.append(tuple(space.active[i] for i in sorted(members)))
+        excess = table.weights - baseline
+        # a tie is within the error bound: states off by e move a simplex's
+        # masses by 2e each, and its masses over all states sum to its degree
+        band = 2 * table.error * (1 / space.degrees[seed] + 1 / space.degrees)
+        members = unassigned & ((excess > band) | (geq & (excess >= -band)))
+        members[seed] = True
+        unassigned &= ~members
+        communities.append(tuple(space.active[i] for i in np.flatnonzero(members).tolist()))
     communities.extend((s,) for s in space.isolated)
     return CommunityPartition(n=n, communities=tuple(communities))

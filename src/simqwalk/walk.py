@@ -45,6 +45,7 @@ from .complexes import Simplex, SimplicialComplex
 from .errors import (
     InvalidParameterError,
     IsolatedSimplexError,
+    NoAdjacencyError,
     NumericalError,
     UnknownSimplexError,
 )
@@ -374,16 +375,18 @@ def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Source-to-target transition weights under one estimator; ``error``
-    bounds the norm error of each unit state they are built from."""
+    """Source-to-target transition weights under one estimator: ``weights[j]``
+    is the weight to ``space.active[j]``.  ``error`` bounds the norm error of
+    each unit state they are built from."""
 
     source: Simplex
     estimator: str
-    values: dict[Simplex, float]
+    weights: np.ndarray
     error: float
+    space: WalkSpace = field(repr=False, compare=False)
 
     def __getitem__(self, target) -> float:
-        return self.values[tuple(target)]
+        return float(self.weights[self.space.index[tuple(target)]])
 
 
 def finite_time_average(
@@ -403,9 +406,10 @@ def finite_time_average(
     return TransitionTable(
         source=sx,
         estimator=f"finite(T={time_steps})",
-        values={s: float(mean[j]) for j, s in enumerate(space.active)},
+        weights=mean,
         # a step rounds a unit state by about k**1.5 eps (k: largest coin)
         error=time_steps * float(space.degrees.max()) ** 1.5 * _EPS,
+        space=space,
     )
 
 
@@ -446,15 +450,10 @@ def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
     merged in front of the first.
     """
     order = np.argsort(phases)
-    groups: list[list[int]] = [[int(order[0])]]
-    for k in order[1:]:
-        if phases[k] - phases[groups[-1][-1]] <= tol:
-            groups[-1].append(int(k))
-        else:
-            groups.append([int(k)])
+    groups = np.split(order, np.flatnonzero(np.diff(phases[order]) > tol) + 1) if len(order) else []
     if len(groups) > 1 and phases[groups[0][0]] + 2 * np.pi - phases[groups[-1][-1]] <= tol:
-        groups[0] = groups.pop() + groups[0]
-    return tuple(tuple(g) for g in groups)
+        groups[0] = np.concatenate([groups.pop(), groups[0]])
+    return tuple(tuple(g.tolist()) for g in groups)
 
 
 def _symmetric_eigenpairs(rotated: sp.csr_matrix):
@@ -495,14 +494,15 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
     return np.hstack(parts)
 
 
-def unitary_spectrum(
-    walk: UnitaryWalk, phase_tol: float = DEFAULT_PHASE_TOL
-) -> UnitarySpectrum:
+def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     """Spectral decomposition of the step operator from one real symmetric
     ``eigh`` in the reverse-arc basis (module docstring).  Raises
-    NumericalError when that matrix and its eigenvectors (``16 m**2`` bytes)
-    exceed physical memory, or a residual exceeds ``RESIDUAL_TOL``."""
+    NoAdjacencyError on a walk without arcs, and NumericalError when that
+    matrix and its eigenvectors (``16 m**2`` bytes) exceed physical memory,
+    or a residual exceeds ``RESIDUAL_TOL``."""
     m = walk.space.m
+    if m == 0:
+        raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {walk.space.n}")
     need, have = 16 * m * m, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise NumericalError(f"the spectrum of {m} arcs needs {need / 2**30:.1f} GiB, "
@@ -516,7 +516,7 @@ def unitary_spectrum(
     if residuals.max() > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
     phases = np.mod(np.angle(eigenvalues) - _ALPHA, 2 * np.pi)
-    groups = _group_phases(phases, phase_tol)
+    groups = _group_phases(phases, DEFAULT_PHASE_TOL)
     masses = _group_masses(walk.space, pairs, basis, groups)
     return UnitarySpectrum(phases, groups, basis, pairs, masses, residuals.max() + m * _EPS)
 
@@ -534,12 +534,13 @@ def long_time_average_spectral(
     sx = space.require_active(source)
     spec = spectrum if spectrum is not None else unitary_spectrum(walk)
     ix = space.index[sx]
-    values = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
+    weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
     return TransitionTable(
         source=sx,
         estimator="spectral",
-        values={s: float(values[j]) for j, s in enumerate(space.active)},
+        weights=weights,
         error=spec.error,
+        space=space,
     )
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from simqwalk import build_walk_space, clique_complex, karate_club_complex, step_operator, unitary_spectrum
@@ -5,6 +7,14 @@ from simqwalk import build_walk_space, clique_complex, karate_club_complex, step
 TRIANGLE_EDGES = [(1, 2), (1, 3), (2, 3)]
 BOWTIE_EDGES = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+def random_clique_complex(seed):
+    """Clique complex (up to dimension 3) of a seeded G(n, 1/2) graph on 7 to 11 vertices."""
+    rng = random.Random(seed)
+    size = rng.randint(7, 11)
+    pairs = [(u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)]
+    return clique_complex([edge for edge in pairs if rng.random() < 0.5], max_dim=3)
 
 
 @pytest.fixture(scope="session")

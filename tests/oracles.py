@@ -11,7 +11,9 @@ Hodge Laplacians from dense boundary matrices built by face enumeration
 instead of the library's sparse incidence matrices, and the spectrum of the
 step operator from a dense complex Schur form with per-seed group projectors
 instead of a real symmetric ``eigh`` in the reverse-arc basis with one
-all-seed product.
+all-seed product, phase groups by a walk over the sorted phases instead of
+one cut of their gaps, and recruitment by a test of one candidate at a time
+instead of one mask over the weight array.
 """
 
 import itertools
@@ -19,7 +21,13 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from simqwalk.walk import _group_phases
+from simqwalk import (
+    build_walk_space,
+    finite_time_average,
+    long_time_average_spectral,
+    step_operator,
+    unitary_spectrum,
+)
 
 
 class UnionFind:
@@ -177,6 +185,24 @@ def laplacian_dense(K, n):
     return up, down, up + down
 
 
+def group_phases(phases, tol):
+    """Indices of ``phases`` in [0, 2*pi), grouped as numerically equal: a
+    sorted phase joins the current group while its gap to the previous one
+    is at most ``tol``; when the first group's lowest phase is within ``tol``
+    of the last group's highest across 2*pi, the last group is merged in
+    front of the first."""
+    order = np.argsort(phases)
+    groups = []
+    for k in order:
+        if groups and phases[k] - phases[groups[-1][-1]] <= tol:
+            groups[-1].append(int(k))
+        else:
+            groups.append([int(k)])
+    if len(groups) > 1 and phases[groups[0][0]] + 2 * np.pi - phases[groups[-1][-1]] <= tol:
+        groups[0] = groups.pop() + groups[0]
+    return tuple(tuple(g) for g in groups)
+
+
 def unitary_spectrum_schur(walk, phase_tol=1e-8):
     """``(phases, vectors, groups)`` of the step operator from its complex
     Schur form: a unitary matrix is normal, so the form is diagonal and the
@@ -185,7 +211,7 @@ def unitary_spectrum_schur(walk, phase_tol=1e-8):
     diag = np.diag(triangular)
     assert np.abs(triangular - np.diag(diag)).max() <= 1e-8, "step operator is not normal"
     phases = np.mod(np.angle(diag), 2 * np.pi)
-    return phases, vectors, _group_phases(phases, phase_tol)
+    return phases, vectors, group_phases(phases, phase_tol)
 
 
 def projector_weights(walk, source, vectors, groups):
@@ -200,3 +226,34 @@ def projector_weights(walk, source, vectors, groups):
         projected = basis @ basis.conj().T[:, blk]  # columns P_g |source -> v>
         acc += np.add.reduceat((np.abs(projected) ** 2).sum(axis=1), space.indptr[:-1])
     return acc / ((blk.stop - blk.start) * space.degrees)
+
+
+def recruit_reference(K, n, method, time_steps, threshold):
+    """Detected communities of n-simplices, grown one candidate at a time.
+
+    Seeds go by descending degree, ties in canonical order; each unassigned
+    candidate joins the seed when its weight, read as ``table[candidate]``,
+    beats ``1/m`` by more than the error band, or (``geq``) stays within it.
+    Isolated simplices follow as singletons."""
+    space = build_walk_space(K, n)
+    walk = step_operator(space)
+    spectrum = unitary_spectrum(walk) if method == "spectral" and space.m else None
+    unassigned = dict.fromkeys(space.active)  # an ordered set, canonical order
+    communities = []
+    for seed in sorted(space.active, key=lambda s: -space.degree(s)):
+        if seed not in unassigned:
+            continue
+        del unassigned[seed]
+        if method == "finite":
+            table = finite_time_average(walk, seed, time_steps)
+        else:
+            table = long_time_average_spectral(walk, seed, spectrum)
+        members = [seed]
+        for candidate in list(unassigned):
+            excess = table[candidate] - 1.0 / space.m
+            band = 2 * table.error * (1 / space.degree(seed) + 1 / space.degree(candidate))
+            if excess > band or (threshold == "geq" and excess >= -band):
+                members.append(candidate)
+                del unassigned[candidate]
+        communities.append(tuple(sorted(members)))
+    return tuple(communities) + tuple((s,) for s in space.isolated)

@@ -357,6 +357,16 @@ def test_karate_detect_matches_bench_goldens(edges_file, capsys, n, method):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+# the spectral walk is left out: its exact zeros print BLAS rounding noise
+@pytest.mark.parametrize("n, source", [(1, "33,34"), (2, "1,2,3"), (3, "1,2,3,4"), (4, "1,2,3,4,8")])
+def test_karate_walk_matches_goldens(edges_file, capsys, n, source):
+    golden = ROOT / "tests" / "golden" / f"karate_walk_n{n}_finite.json"
+    argv = ["walk", "--dim", str(n), "--source", source, "--method", "finite",
+            "--time-steps", "100", "--format", "json", str(edges_file)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_modularity_non_utf8_partition_is_io_error(edges_file, tmp_path, capsys):
     part = tmp_path / "part.json"
     part.write_bytes(b"\xff\xfe{}")

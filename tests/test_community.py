@@ -19,6 +19,7 @@ from simqwalk import (
 )
 
 import oracles
+from conftest import random_clique_complex
 from reference_karate import (
     FOUR_SIMPLEX_COMMUNITY,
     TRIANGLE_COMMUNITIES,
@@ -282,12 +283,27 @@ def test_rounding_within_the_error_bound_stays_a_tie(karate, monkeypatch, method
 
     def nudged(*args):
         table = estimate(*args)
-        values = {s: w * (1 + nudge * 1e-15) for s, w in table.values.items()}
-        return dataclasses.replace(table, values=values)
+        return dataclasses.replace(table, weights=table.weights * (1 + nudge * 1e-15))
 
     monkeypatch.setattr(simqwalk.community, name, nudged)
     assert detect_communities(karate, 4, method=method, threshold="strict").sizes == (1, 1)
     assert detect_communities(karate, 4, method=method, threshold="geq").sizes == (2,)
+
+
+@pytest.mark.parametrize("threshold", ["strict", "geq"])
+@pytest.mark.parametrize("method", ["finite", "spectral"])
+@pytest.mark.parametrize(
+    "case", ["karate-1", "karate-2", "karate-3", "karate-4"]
+    + [f"random{seed}-{n}" for seed in (1, 2, 3, 4) for n in (1, 2)],
+)
+def test_recruitment_matches_the_one_candidate_reference(karate, case, method, threshold):
+    name, n = case.rsplit("-", 1)
+    K, n = (karate if name == "karate" else random_clique_complex(int(name[6:]))), int(n)
+    part = detect_communities(K, n, method=method, time_steps=100, threshold=threshold)
+    assert part.communities == oracles.recruit_reference(K, n, method, 100, threshold)
+    # every n-simplex lands in exactly one community
+    members = [s for com in part.communities for s in com]
+    assert sorted(members) == list(K.simplices(n))
 
 
 def test_karate_edge_detection_pinned(karate):

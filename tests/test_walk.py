@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from simqwalk import (
     InvalidParameterError,
     IsolatedSimplexError,
+    NoAdjacencyError,
     NumericalError,
     UnknownSimplexError,
     amplitude_lower_bound,
@@ -32,7 +33,7 @@ import simqwalk.walk as walk_module
 from simqwalk.walk import _group_phases, _symmetric_eigenpairs
 
 import oracles
-from conftest import BOWTIE_EDGES, K4_EDGES
+from conftest import BOWTIE_EDGES, K4_EDGES, random_clique_complex
 
 
 def walk_on(K, n=1):
@@ -317,8 +318,22 @@ def test_finite_average_sum_rule(karate_walk_n2):
     walk = karate_walk_n2
     degrees = np.array([walk.space.degree(s) for s in walk.space.active])
     table = finite_time_average(walk, (1, 2, 3), time_steps=25)
-    values = np.array([table[s] for s in walk.space.active])
-    assert values @ degrees == pytest.approx(1.0, abs=1e-9)
+    assert table.weights @ degrees == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["finite", "spectral"])
+def test_table_indexes_its_weight_array(bowtie, method):
+    walk = walk_on(bowtie)
+    if method == "finite":
+        table = finite_time_average(walk, (1, 2), 7)
+    else:
+        table = long_time_average_spectral(walk, (1, 2))
+    assert table.weights.shape == (len(walk.space.active),)
+    for j, s in enumerate(walk.space.active):
+        assert type(table[s]) is float and table[s] == table.weights[j]
+    assert table[[1, 2]] == table[(1, 2)]
+    with pytest.raises(KeyError):
+        table[(1, 4)]
 
 
 def _one_source_per_degree(space, limit):
@@ -349,13 +364,6 @@ def test_kernel_matches_dense_powers(request, name, n):
         assert max(abs(table[s] - dense_mean[s]) for s in space.active) < 1e-12
 
 
-def _random_complex(seed):
-    rng = random.Random(seed)
-    size = rng.randint(7, 11)
-    pairs = [(u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)]
-    return clique_complex([edge for edge in pairs if rng.random() < 0.5], max_dim=3)
-
-
 def _bowtie_and_tetrahedron():
     # the bowtie's edges and a relabelled tetrahedron's edges: two components
     return clique_complex(BOWTIE_EDGES + [(u + 10, v + 10) for u, v in K4_EDGES], max_dim=3)
@@ -372,7 +380,7 @@ def test_each_seed_evolves_exactly_on_its_own_component(karate, case):
         outside = space.component != c
         source = space.active[np.flatnonzero(~outside)[0]]
         table = finite_time_average(walk, source, horizon)
-        weights = np.array([table[s] for s in space.active])
+        weights = table.weights
         dense_mean = oracles.finite_average_dense(walk, source, horizon)
         assert np.abs(weights - [dense_mean[s] for s in space.active]).max() <= table.error
         assert np.all(weights[outside] == 0.0)
@@ -398,7 +406,7 @@ def test_frame_is_component_major(karate, name, n):
     if name == "karate":
         K = karate
     else:
-        K = _bowtie_and_tetrahedron() if name == "union" else _random_complex(int(name[6:]))
+        K = _bowtie_and_tetrahedron() if name == "union" else random_clique_complex(int(name[6:]))
         if n > K.max_dim or not K.arc_count(n):
             pytest.skip("no arcs at this dimension")
     walk = walk_on(K, n)
@@ -461,8 +469,7 @@ def test_spectral_sum_rule(karate):
     spec = unitary_spectrum(walk)
     for source in walk.space.active[:3]:
         table = long_time_average_spectral(walk, source, spec)
-        values = np.array([table[s] for s in walk.space.active])
-        assert values @ degrees == pytest.approx(1.0, abs=1e-9)
+        assert table.weights @ degrees == pytest.approx(1.0, abs=1e-9)
 
 
 def test_projector_formula_reduces_when_phases_distinct(filled_triangle):
@@ -560,11 +567,10 @@ def _check_against_schur(walk, spec, sources):
     space = walk.space
     for source in sources:
         table = long_time_average_spectral(walk, source, spec)
-        values = np.array([table[t] for t in space.active])
         reference = oracles.projector_weights(walk, source, vectors, groups)
         # exactly-zero weights come out as rounding noise of order 1e-29
-        np.testing.assert_allclose(values, reference, rtol=1e-10, atol=1e-25)
-        assert values @ space.degrees == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(table.weights, reference, rtol=1e-10, atol=1e-25)
+        assert table.weights @ space.degrees == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_matches_schur_karate_edges(karate_walk_n1, karate_spectrum_n1):
@@ -582,7 +588,7 @@ def test_spectrum_matches_schur_karate(karate, n):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_spectrum_matches_schur_random_complexes(seed):
-    K = _random_complex(seed)
+    K = random_clique_complex(seed)
     for n in (1, 2):
         if n <= K.max_dim and K.arc_count(n):
             walk = walk_on(K, n)
@@ -640,6 +646,11 @@ def test_memory_guard_refuses_dense_spectrum(karate_walk_n1, monkeypatch):
         unitary_spectrum(karate_walk_n1)
 
 
+def test_spectrum_without_arcs_is_no_adjacency_error(two_edges):
+    with pytest.raises(NoAdjacencyError, match="no lower-adjacent pairs at dimension 1"):
+        unitary_spectrum(walk_on(two_edges))
+
+
 def test_phase_grouping_wraps_around():
     phases = np.array([1e-10, np.pi, 2 * np.pi - 1e-10])
     groups = _group_phases(phases, tol=1e-8)
@@ -666,6 +677,32 @@ def test_phase_grouping_wrap_merge_prepends_last_group():
     tol = 1e-8
     phases = np.array([0.3 * tol, 2 * np.pi - 0.3 * tol, 2 * np.pi - 0.9 * tol, np.pi])
     assert _group_phases(phases, tol) == ((2, 1, 0), (3,))
+
+
+def _random_phases(rng, tol):
+    """Phases in [0, 2*pi) made of clusters: runs of gaps at, just below and
+    just above ``tol``, some placed to straddle 2*pi."""
+    phases = []
+    for _ in range(rng.randint(0, 6)):
+        start = rng.choice([rng.uniform(0, 2 * np.pi), rng.uniform(-3 * tol, 3 * tol)])
+        for _ in range(rng.randint(1, 5)):
+            phases.append(start % (2 * np.pi))
+            start += rng.choice([0.0, 0.5 * tol, tol, 0.99 * tol, 1.01 * tol, 2 * tol, 0.3])
+    rng.shuffle(phases)
+    return np.array(phases, dtype=float)
+
+
+def test_phase_grouping_matches_the_loop_oracle():
+    rng = random.Random(29)
+    wrapped = 0
+    for _ in range(2000):
+        tol = rng.choice([1e-8, 1e-3])
+        phases = _random_phases(rng, tol)
+        groups = _group_phases(phases, tol)
+        assert groups == oracles.group_phases(phases, tol)
+        wrapped += any(np.ptp(phases[list(g)]) > np.pi for g in groups)
+    assert wrapped > 50  # the seeds do exercise the merge across 2*pi
+    assert _group_phases(np.zeros(0), 1e-8) == oracles.group_phases(np.zeros(0), 1e-8) == ()
 
 
 # -- amplitude lower bound ----------------------------------------------------------------
