@@ -5,7 +5,10 @@ down-Laplacian is ``B_n.T @ B_n``, with ``B_n`` the signed incidence matrix
 of the boundary map.  Both are sparse CSR int64 Gram matrices here, so the
 algebraic identities (boundary-of-boundary zero, up*down = down*up = 0) are
 checked exactly on sparse products.  Only :func:`laplacian_spectrum`
-densifies, block by block: no dense matrix is larger than a component.
+densifies, and never the Laplacian itself: by the Hodge decomposition
+``C_n = im B_nᵀ ⊕ ker L_n ⊕ im B_{n+1}`` its nonzero spectrum is that of
+the two boundary matrices' Gram blocks, each taken per component of the
+face–coface incidence and on that component's smaller side.
 
 The dimension of the Laplacian kernel counts the n-dimensional holes of the
 complex, which is what :func:`betti_number` reports.
@@ -34,7 +37,7 @@ __all__ = [
 DEFAULT_KERNEL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HodgeLaplacian:
     """Up, down, and total Laplacian at one dimension.
 
@@ -66,7 +69,7 @@ class ChainIdentityReport:
         return self.boundary_product_zero and self.up_down_zero and self.down_up_zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Ascending Laplacian eigenvalues and the kernel dimension below tolerance."""
 
@@ -114,30 +117,50 @@ def laplacian_spectrum(
 ) -> SpectrumReport:
     """Full ascending spectrum of the total Hodge Laplacian at dimension n.
 
-    It is block diagonal over the lower-connected components (the graph's at
-    n = 0), as simplices with a common coface share a face; the blocks of
-    each size go through one batched ``eigvalsh``."""
+    As ``B_n B_{n+1} = 0``, the nonzero spectrum of ``L_n = B_nᵀB_n +
+    B_{n+1}B_{n+1}ᵀ`` is the union of those of its two parts, and ``BᵀB`` has
+    the nonzero spectrum of ``BBᵀ``.  Both Gram matrices of a boundary matrix
+    are block diagonal over the components of its face–coface incidence (a
+    face is labelled by its upper component, a coface by its first face's),
+    so each block is densified on its side with fewer simplices (the faces on
+    a tie), and the blocks of each size go through one batched ``eigvalsh``.
+    With ``N_n`` zeros added, the largest ``N_n`` values are the spectrum: no
+    rank is decided.  Raises InvalidParameterError for n outside
+    ``[0, K.max_dim]``."""
     if not 0 < kernel_tol < np.inf:
         raise InvalidParameterError(f"kernel_tol must be positive and finite, got {kernel_tol}")
-    total = hodge_laplacian(K, n).total.tocoo()
-    labels = K.components(n, "lower" if n else "upper")
-    size = np.bincount(labels)[labels]
-    # simplices ordered by (block size, block), each block in canonical order;
-    # a simplex is then row ``at`` of block ``which`` in its size's stack
-    order = np.lexsort((labels, size))
-    which, at = np.divmod(np.argsort(order) - np.searchsorted(size[order], size), size)
-    parts = []
-    try:
-        for k in np.unique(size).tolist():
-            entry = size[total.row] == k
-            row, col = total.row[entry], total.col[entry]
-            stack = np.zeros((np.count_nonzero(size == k) // k, k, k))
-            stack[which[row], at[row], at[col]] = total.data[entry]
-            del entry, row, col
-            parts.append(np.linalg.eigvalsh(stack).ravel())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise NumericalError(f"eigendecomposition failed at dimension {n}") from exc
-    eigenvalues = np.sort(np.concatenate(parts))
+    if not 0 <= n <= K.max_dim:
+        raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
+    grams, labels, offset = [], [], 0
+    for dim in range(max(n, 1), min(n + 1, K.max_dim) + 1):
+        b = K.boundary_matrix(dim)
+        face = K.components(dim - 1, "upper")
+        coface, count = face[b.indices[b.indptr[:-1]]], len(face)
+        on_faces = np.bincount(face, minlength=count) <= np.bincount(coface, minlength=count)
+        rows, cols = on_faces[face], ~on_faces[coface]
+        faces, cofaces = b.tocsr()[rows], b[:, cols]
+        grams += [faces @ faces.T, cofaces.T @ cofaces]
+        labels += [face[rows] + offset, coface[cols] + offset]
+        offset += count
+    parts = [np.zeros(K.num_simplices(n))]
+    if grams:
+        gram, labels = sp.block_diag(grams, format="coo"), np.concatenate(labels)
+        size = np.bincount(labels)[labels]
+        # rows ordered by (block size, block), each block in canonical order;
+        # a row is then row ``at`` of block ``which`` in its size's stack
+        order = np.lexsort((labels, size))
+        which, at = np.divmod(np.argsort(order) - np.searchsorted(size[order], size), size)
+        try:
+            for k in np.unique(size).tolist():
+                entry = size[gram.row] == k
+                row, col = gram.row[entry], gram.col[entry]
+                stack = np.zeros((np.count_nonzero(size == k) // k, k, k))
+                stack[which[row], at[row], at[col]] = gram.data[entry]
+                del entry, row, col
+                parts.append(np.linalg.eigvalsh(stack).ravel())
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
+            raise NumericalError(f"eigendecomposition failed at dimension {n}") from exc
+    eigenvalues = np.sort(np.concatenate(parts))[-K.num_simplices(n):]
     betti = int(np.count_nonzero(eigenvalues < kernel_tol))
     return SpectrumReport(n=n, eigenvalues=eigenvalues, betti=betti)
 

@@ -33,6 +33,7 @@ weights from one product, ``sum_g tr(G_x G_y)``.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -373,7 +374,7 @@ def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
     return float(profile[t - 1, space.index[sy]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionTable:
     """Source-to-target transition weights under one estimator: ``weights[j]``
     is the weight to ``space.active[j]``.  ``error`` bounds the norm error of
@@ -383,7 +384,7 @@ class TransitionTable:
     estimator: str
     weights: np.ndarray
     error: float
-    space: WalkSpace = field(repr=False, compare=False)
+    space: WalkSpace = field(repr=False)
 
     def __getitem__(self, target) -> float:
         return float(self.weights[self.space.index[tuple(target)]])
@@ -413,7 +414,7 @@ def finite_time_average(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitarySpectrum:
     """Eigenphases and orthonormal eigenvectors of the step operator.
 
@@ -485,7 +486,14 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
     ``conj(z_i) z_j / 2`` to its source's entry and arc b the conjugate."""
     pair, shape = np.arange(pairs.shape[1]), (len(space.active), pairs.shape[1])
     at_a, at_b = (sp.csr_matrix((np.ones(shape[1]), (space.source[p], pair)), shape) for p in pairs)
-    i, j = np.concatenate([np.stack(np.meshgrid(g, g)).reshape(2, -1) for g in groups], axis=1)
+    size = np.fromiter(map(len, groups), np.int64, len(groups))
+    flat = np.fromiter(itertools.chain.from_iterable(groups), np.int64, size.sum())
+    # entry e of a group g of k members is (i, j) = (g[c], g[r]) with r, c = divmod(e, k)
+    square = size * size
+    entry = np.arange(square.sum()) - np.repeat(np.cumsum(square) - square, square)
+    r, c = np.divmod(entry, np.repeat(size, square))
+    start = np.repeat(np.cumsum(size) - size, square)
+    i, j = flat[start + c], flat[start + r]
     parts = []
     for lo in range(0, len(i), _CHUNK):
         ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]

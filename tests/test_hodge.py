@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 
 from simqwalk import (
     InvalidParameterError,
+    SimplicialComplex,
     betti_number,
     clique_complex,
     hodge_laplacian,
@@ -16,6 +18,7 @@ from simqwalk import (
 )
 
 import oracles
+from conftest import K4_EDGES, random_clique_complex
 
 
 def test_filled_triangle_laplacian(filled_triangle):
@@ -219,8 +222,21 @@ def test_spectrum_matches_dense_eigvalsh(karate, name):
         assert report.betti == int(np.count_nonzero(want < 1e-9)), (name, n)
 
 
-def test_spectrum_decomposes_no_matrix_larger_than_a_component(monkeypatch):
-    K = _disjoint_blocks(30)
+def _incidence_blocks(K, n):
+    """Sizes of the blocks the spectrum at n densifies, from the union-find
+    oracle: for B_n and B_{n+1}, the smaller side of each component of the
+    face-coface incidence, faces grouped by upper adjacency and each coface
+    with its faces."""
+    sizes = []
+    for k in (n, n + 1):
+        if 1 <= k <= K.max_dim:
+            for part in oracles.up_components(K, k - 1):
+                cofaces = sum(1 for s in K.simplices(k) if s[1:] in part)
+                sizes.append(min(len(part), cofaces))
+    return Counter(size for size in sizes if size)
+
+
+def _recorded_eigvalsh_shapes(monkeypatch):
     eigvalsh, shapes = np.linalg.eigvalsh, []
 
     def recording(a, *args, **kwargs):
@@ -228,11 +244,86 @@ def test_spectrum_decomposes_no_matrix_larger_than_a_component(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+def test_spectrum_decomposes_no_matrix_larger_than_a_component(monkeypatch):
+    K = _disjoint_blocks(30)
+    shapes = _recorded_eigvalsh_shapes(monkeypatch)
     for n in range(K.max_dim + 1):
         shapes.clear()
         laplacian_spectrum(K, n)
+        # one batched call per block size; each block is the smaller side of
+        # an incidence component of B_n or B_{n+1}
+        want = sorted((count, k, k) for k, count in _incidence_blocks(K, n).items())
+        assert sorted(shapes) == want, n
         parts = oracles.down_components(K, n) if n else oracles.up_components(K, 0)
-        sizes = {len(part) for part in parts}
-        # one batched call per block size, each block no larger than a component
-        assert sorted(shape[-1] for shape in shapes) == sorted(sizes), n
-        assert max(shape[-1] for shape in shapes) <= max(sizes)
+        assert max(shape[-1] for shape in shapes) <= max(len(part) for part in parts), n
+
+
+def test_edge_spectrum_of_planted_blocks_needs_no_matrix_beyond_the_graph(monkeypatch):
+    # six dense blocks of ten vertices with few links between them, P160 in
+    # small: all edges form one lower-connected component, yet at n = 1 the
+    # graph Laplacian is the largest block and each block of B_2 is one
+    # planted block's edges or triangles
+    rng = random.Random(1)
+    edges = [(u, v) for u in range(1, 61) for v in range(u + 1, 61)
+             if rng.random() < (0.5 if (u - 1) // 10 == (v - 1) // 10 else 0.03)]
+    K = clique_complex(edges, max_dim=3)
+    assert len(oracles.down_components(K, 1)) == 1
+    shapes = _recorded_eigvalsh_shapes(monkeypatch)
+    laplacian_spectrum(K, 1)
+    want = sorted((count, k, k) for k, count in _incidence_blocks(K, 1).items())
+    assert sorted(shapes) == want
+    vertices = max(len(part) for part in oracles.up_components(K, 0))
+    assert max(shape[-1] for shape in shapes) <= vertices < K.num_simplices(1)
+
+
+def _assert_spectrum_matches_dense(K, name):
+    for n in range(K.max_dim + 1):
+        report = laplacian_spectrum(K, n)
+        want = np.linalg.eigvalsh(oracles.laplacian_dense(K, n)[2].astype(float))
+        assert report.eigenvalues.shape == want.shape, (name, n)
+        assert report.eigenvalues.min() >= 0, (name, n)  # the kept values outrank the added zeros
+        assert np.abs(report.eigenvalues - want).max() <= 1e-10, (name, n)
+        assert report.betti == int(np.count_nonzero(want < 1e-9)), (name, n)
+
+
+def test_spectrum_sweep_matches_dense_oracle():
+    for seed in range(80):
+        _assert_spectrum_matches_dense(random_clique_complex(seed), seed)
+
+
+OCTAHEDRON = [(u, v) for u in range(1, 7) for v in range(u + 1, 7) if v - u != 3]
+
+# small complexes at the edges of the decomposition, with their holes per dimension
+EDGE_CASES = {
+    "isolated-vertices": (lambda: SimplicialComplex(
+        {0: [(v,) for v in range(1, 6)], 1: [(1, 2), (1, 3), (2, 3)], 2: [(1, 2, 3)]}), [3, 0, 0]),
+    "vertices-only": (lambda: SimplicialComplex({0: [(1,), (4,)]}), [2]),
+    "above-top-dimension": (lambda: clique_complex(K4_EDGES + [(4, 5), (5, 6)], max_dim=7),
+                            [1, 0, 0, 0]),
+    "hollow-octahedron": (lambda: clique_complex(OCTAHEDRON, max_dim=4), [1, 0, 1]),
+    "hollow-pentagon-and-triangle": (lambda: clique_complex(
+        [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7), (6, 8), (7, 8)]), [2, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_spectrum_edge_cases_match_dense_oracle(name):
+    make, betti = EDGE_CASES[name]
+    K = make()
+    assert K.max_dim == len(betti) - 1
+    assert [laplacian_spectrum(K, n).betti for n in range(K.max_dim + 1)] == betti
+    _assert_spectrum_matches_dense(K, name)
+    with pytest.raises(InvalidParameterError):
+        laplacian_spectrum(K, K.max_dim + 1)
+
+
+def test_results_holding_arrays_compare_by_identity(karate):
+    # == on two instances returns a bool, where a generated __eq__ over
+    # array fields raised ValueError
+    for make in (laplacian_spectrum, hodge_laplacian):
+        a, b = make(karate, 1), make(karate, 1)
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True, make.__name__

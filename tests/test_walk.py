@@ -763,3 +763,14 @@ def test_time_average_of_phase_differences_is_bounded():
         for horizon in (10, 100, 1000):
             mean = np.mean([z**t for t in range(1, horizon + 1)])
             assert abs(mean) <= 2.0 / (horizon * abs(1 - z)) + 1e-12
+
+
+def test_spectrum_and_table_compare_by_identity(filled_triangle):
+    # == on two instances returns a bool, where a generated __eq__ over
+    # array fields raised ValueError
+    w = walk_on(filled_triangle)
+    for a, b in [(unitary_spectrum(w), unitary_spectrum(w)),
+                 (finite_time_average(w, (1, 2), 5), finite_time_average(w, (1, 2), 5)),
+                 (long_time_average_spectral(w, (1, 2)), long_time_average_spectral(w, (1, 2)))]:
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True
