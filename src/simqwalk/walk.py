@@ -24,19 +24,31 @@ The coin C is complex symmetric and the shift S a real involution, so
 is complex symmetric and unitary, so for a generic alpha the real symmetric
 ``Re(e^{i alpha} M)`` commutes with M: one ``eigh`` of it gives real
 eigenvectors r of M, and the imaginary part separates phases that share a
-cosine inside clusters of near-equal eigenvalues.  Phases are Rayleigh
-quotients and every residual ``|Mr - e^{i theta} r|`` is checked.  A real r
-puts mass ``(r_p**2 + r_q**2)/2`` on both arcs of its pair, so every group's
+cosine inside clusters of near-equal eigenvalues.  Every eigenpair is
+checked through the coin alone: ``psi = W r`` satisfies ``S psi = conj(psi)``,
+so the Rayleigh quotient ``r^T M r`` is ``psi^T C psi`` and the residual
+``|C psi - lambda conj(psi)|`` equals ``|Mr - lambda r|``; the check runs the
+evolution's class matmuls on chunks of columns.  A real r puts mass
+``(r_p**2 + r_q**2)/2`` on both arcs of its pair, so every group's
 per-simplex Gram matrix ``G_x`` comes from real vectors and every seed's
 weights from one product, ``sum_g tr(G_x G_y)``.
+
+The walk's own BLAS products (the coin's matmuls in evolution and in the
+check, and the spectral average's row product) run with numpy's OpenBLAS
+pool held at one thread and the previous count restored after.  They are
+small and many, and a second thread only adds hand-offs that stall when
+cores are shared.  scipy's own OpenBLAS pool, which runs the ``eigh``,
+keeps its threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -77,7 +89,8 @@ RESIDUAL_TOL = 1e-8  # largest eigenpair residual the spectral estimator accepts
 _EPS = float(np.finfo(np.float64).eps)
 _ALPHA = 0.5772156649015329  # generic: no rational multiple of pi
 _CLUSTER_GAP = 1e-6  # eigh's vectors are accurate to about eps / gap
-_CHUNK = 256  # columns per block of the chunked products
+_CHUNK = 256  # columns per block of the chunked Gram products
+_CHECK_CHUNK = 128  # columns per block of the eigenpair check
 
 
 @dataclass(frozen=True)
@@ -288,20 +301,85 @@ def basis_state(walk: UnitaryWalk, source, target) -> np.ndarray:
     return psi
 
 
+@cache
+def _openblas_thread_calls():
+    """numpy's OpenBLAS thread-count getter and setter, found through the
+    handle of numpy's core extension, or None if it exports no such pair."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Holds numpy's OpenBLAS pool at one thread while any scope is open.
+
+    The first scope to open saves the count and the last to close restores
+    it, so scopes nest and may open in several threads at once.  Without
+    both thread calls the scope does nothing.  Where numpy and scipy share
+    one OpenBLAS, a scope takes scipy's threads too, so no scope encloses
+    an ``eigh``.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            calls = _openblas_thread_calls()
+            if self._depth == 0 and calls is not None:
+                self._saved = calls[0]()
+                calls[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            calls = _openblas_thread_calls()
+            if self._depth == 0 and calls is not None:
+                calls[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _coin_views(classes, psi: np.ndarray, coined: np.ndarray) -> list:
+    """Per degree class of a component: its Fourier block and the
+    ``(k, count * d)`` views of the class in ``psi`` and in ``coined``."""
+    return [(fourier, psi[part].reshape(k, -1), coined[part].reshape(k, -1))
+            for part, k, fourier in classes]
+
+
 def _evolution(component, psi: np.ndarray, t_max: int):
     """Step an ``(m_c, d)`` state on one component's frame slice in place
     ``t_max`` times, yielding it after each step.  The yielded array is
     overwritten by the next step."""
     _, reverse, classes = component
     coined = np.empty_like(psi)
-    for _ in range(t_max):
-        for part, k, fourier in classes:
-            np.matmul(fourier, psi[part].reshape(k, -1), out=coined[part].reshape(k, -1))
-        # the indices are a permutation, so no index is ever clipped; in
-        # the default mode numpy would copy through a buffer instead of
-        # writing straight into psi
-        np.take(coined, reverse, axis=0, out=psi, mode="clip")
-        yield psi
+    views = _coin_views(classes, psi, coined)
+    with _ONE_BLAS_THREAD:
+        for _ in range(t_max):
+            for fourier, state, out in views:
+                np.matmul(fourier, state, out=out)
+            # the indices are a permutation, so no index is ever clipped; in
+            # the default mode numpy would copy through a buffer instead of
+            # writing straight into psi
+            np.take(coined, reverse, axis=0, out=psi, mode="clip")
+            yield psi
 
 
 def _arc_mass(psi: np.ndarray) -> np.ndarray:
@@ -457,10 +535,10 @@ def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(g.tolist()) for g in groups)
 
 
-def _symmetric_eigenpairs(rotated: sp.csr_matrix):
-    """Rayleigh-quotient eigenvalues, real orthonormal eigenvectors and residuals
-    of a complex symmetric unitary ``h + i k``: eigenvectors of ``h`` (cos phi),
-    separated by ``k`` (sin phi) inside clusters of near-equal cos phi."""
+def _real_eigenvectors(rotated: sp.csr_matrix) -> np.ndarray:
+    """Real orthonormal eigenvectors of a complex symmetric unitary ``h + i k``:
+    eigenvectors of ``h`` (cos phi), separated by ``k`` (sin phi) inside
+    clusters of near-equal cos phi."""
     h, k = rotated.real, rotated.imag
     try:
         cos, basis = scipy.linalg.eigh(h.toarray(order="F"), overwrite_a=True, check_finite=False)
@@ -470,14 +548,32 @@ def _symmetric_eigenpairs(rotated: sp.csr_matrix):
         if len(cluster) > 1:
             sub = basis[:, cluster]
             basis[:, cluster] = sub @ scipy.linalg.eigh(sub.T @ (k @ sub))[1]
-    eigenvalues, residuals = np.empty(len(cos), dtype=np.complex128), np.empty(len(cos))
-    for lo in range(0, len(cos), _CHUNK):  # column chunks: no dense m x m product
-        r = basis[:, lo : lo + _CHUNK]
-        hr, kr = h @ r, k @ r
-        c, s = np.einsum("ij,ij->j", r, hr), np.einsum("ij,ij->j", r, kr)
-        eigenvalues[lo : lo + _CHUNK] = c + 1j * s
-        residuals[lo : lo + _CHUNK] = np.sqrt(((hr - r * c) ** 2 + (kr - r * s) ** 2).sum(axis=0))
-    return eigenvalues, basis, residuals
+    return basis
+
+
+def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
+    """Rayleigh quotients ``r^T M r`` and residuals ``|Mr - lambda r|`` of the
+    real columns r of ``basis`` (reverse-arc basis of ``pairs``) through the
+    coin alone: ``psi = W r`` satisfies ``S psi = conj(psi)``, so
+    ``lambda = psi^T C psi`` and ``|C psi - lambda conj(psi)| = |Mr - lambda r|``.
+    ``psi`` is laid out in the walk's frame, one class GEMM per column chunk."""
+    frame, m = walk.frame, basis.shape[0]
+    at_a, at_b = frame.position[pairs[0]], frame.position[pairs[1]]
+    eigenvalues, residuals = np.empty(m, dtype=np.complex128), np.empty(m)
+    with _ONE_BLAS_THREAD:
+        for lo in range(0, m, _CHECK_CHUNK):
+            r = basis[:, lo : lo + _CHECK_CHUNK]
+            psi = np.empty((m, r.shape[1]), dtype=np.complex128)
+            psi[at_a] = (r[0::2] + 1j * r[1::2]) / np.sqrt(2)
+            psi[at_b] = psi[at_a].conj()
+            coined = np.empty_like(psi)
+            for part, _, classes in frame.components:
+                for fourier, state, out in _coin_views(classes, psi[part], coined[part]):
+                    np.matmul(fourier, state, out=out)
+            value = np.einsum("ij,ij->j", psi, coined)
+            eigenvalues[lo : lo + _CHECK_CHUNK] = value
+            residuals[lo : lo + _CHECK_CHUNK] = np.linalg.norm(coined - psi.conj() * value, axis=0)
+    return eigenvalues, residuals
 
 
 def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
@@ -520,10 +616,11 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     columns = (np.tile(pairs.T, 2).ravel(), np.repeat(np.arange(m), 2))
     w = sp.csr_matrix((np.tile([1, 1, 1j, -1j], m // 2) / np.sqrt(2), columns), (m, m))
     rotated = (np.exp(1j * _ALPHA) * (w.conj().T @ walk.step @ w)).tocsr()
-    eigenvalues, basis, residuals = _symmetric_eigenpairs(rotated)
+    basis = _real_eigenvectors(rotated)
+    eigenvalues, residuals = _coin_eigenpairs(walk, pairs, basis)
     if residuals.max() > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
-    phases = np.mod(np.angle(eigenvalues) - _ALPHA, 2 * np.pi)
+    phases = np.mod(np.angle(eigenvalues), 2 * np.pi)
     groups = _group_phases(phases, DEFAULT_PHASE_TOL)
     masses = _group_masses(walk.space, pairs, basis, groups)
     return UnitarySpectrum(phases, groups, basis, pairs, masses, residuals.max() + m * _EPS)
@@ -542,7 +639,8 @@ def long_time_average_spectral(
     sx = space.require_active(source)
     spec = spectrum if spectrum is not None else unitary_spectrum(walk)
     ix = space.index[sx]
-    weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
+    with _ONE_BLAS_THREAD:
+        weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
     return TransitionTable(
         source=sx,
         estimator="spectral",

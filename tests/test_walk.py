@@ -1,5 +1,7 @@
 import cmath
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from simqwalk import (
 import simqwalk.cli
 import simqwalk.community
 import simqwalk.walk as walk_module
-from simqwalk.walk import _group_phases, _symmetric_eigenpairs
+from simqwalk.walk import _coin_eigenpairs, _group_phases, _openblas_thread_calls, _real_eigenvectors
 
 import oracles
 from conftest import BOWTIE_EDGES, K4_EDGES, random_clique_complex
@@ -271,6 +273,109 @@ def test_evolve_rejects_negative_time(path_complex):
     walk = walk_on(path_complex)
     with pytest.raises(InvalidParameterError):
         evolve(walk, basis_state(walk, (1, 2), (2, 3)), -1)
+
+
+# -- BLAS thread scope ------------------------------------------------------------------
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to two for the
+    test and restored after it."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread calls")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("numpy's OpenBLAS pool cannot hold two threads")
+        yield get
+    finally:
+        set_(before)
+
+
+def test_blas_scope_restores_count_on_exit_and_on_exception(blas_threads):
+    with walk_module._ONE_BLAS_THREAD:
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+    with pytest.raises(KeyError):
+        with walk_module._ONE_BLAS_THREAD:
+            raise KeyError("inside")
+    assert blas_threads() == 2
+
+
+def test_nested_blas_scopes_restore_the_outer_count(blas_threads):
+    scope = walk_module._ONE_BLAS_THREAD
+    with scope:
+        with scope:
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+def test_blas_scope_restored_when_evolution_is_closed_early(blas_threads, karate_walk_n2):
+    steps = walk_module._source_evolution(karate_walk_n2, karate_walk_n2.space.active[0], 10)[2]
+    next(steps)
+    assert blas_threads() == 1
+    steps.close()
+    assert blas_threads() == 2
+
+
+def test_public_walk_calls_keep_the_blas_count(blas_threads, karate):
+    walk = walk_on(karate, 3)
+    source, target = walk.space.active[:2]
+    spec = unitary_spectrum(walk)
+    assert blas_threads() == 2
+    for call in (
+        lambda: evolve(walk, basis_state(walk, *walk.space.arcs[0]), 5),
+        lambda: transition_profile(walk, source, 5),
+        lambda: transition_probability(walk, source, target, 5),
+        lambda: finite_time_average(walk, source, 5),
+        lambda: long_time_average_spectral(walk, source),
+        lambda: amplitude_lower_bound(walk, source, target, spec),
+    ):
+        call()
+        assert blas_threads() == 2
+
+
+def test_blas_scopes_in_many_threads_restore_the_count(blas_threads):
+    # more threads than cores, switching often: a lost update of the depth
+    # would leave the pool at one thread or release it inside a scope
+    scope, inside = walk_module._ONE_BLAS_THREAD, []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with scope:
+                inside.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert inside == [1] * 1200
+    assert blas_threads() == 2
+
+
+def test_blas_scope_without_thread_calls_does_nothing(blas_threads, karate_walk_n2, monkeypatch):
+    monkeypatch.setattr(walk_module, "_openblas_thread_calls", lambda: None)
+    with walk_module._ONE_BLAS_THREAD:
+        assert blas_threads() == 2
+    steps = walk_module._source_evolution(karate_walk_n2, karate_walk_n2.space.active[0], 5)[2]
+    next(steps)
+    assert blas_threads() == 2
+    steps.close()
+    table = finite_time_average(karate_walk_n2, karate_walk_n2.space.active[0], 5)
+    assert blas_threads() == 2
+    assert table.weights @ karate_walk_n2.space.degrees == pytest.approx(1.0, abs=1e-12)
 
 
 # -- transition probabilities ----------------------------------------------------------
@@ -617,14 +722,58 @@ def test_cluster_separation_splits_colliding_phases():
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     phi = np.array([0.7, -0.7, 0.2, 1.9, -2.5, 3.0])
-    rotated = sp.csr_matrix((q * np.exp(1j * phi)) @ q.T)
-    eigenvalues, basis, residuals = _symmetric_eigenpairs(rotated)
+    dense = (q * np.exp(1j * phi)) @ q.T
+    basis = _real_eigenvectors(sp.csr_matrix(dense))
+    eigenvalues = np.einsum("ij,ij->j", basis, dense @ basis)
+    residuals = np.linalg.norm(dense @ basis - basis * eigenvalues, axis=0)
     assert residuals.max() < 1e-12
     assert np.abs(basis.T @ basis - np.eye(6)).max() < 1e-12
     assert _circular_gap(np.angle(eigenvalues), phi).min(axis=1).max() < 1e-12
     for k in (0, 1):  # each colliding phase keeps its own eigenvector
         column = np.argmin(_circular_gap(np.angle(eigenvalues), phi[k : k + 1]))
         assert abs(abs(basis[:, column] @ q[:, k]) - 1) < 1e-12
+
+
+def _dense_reverse_arc_operator(walk, pairs):
+    """Dense ``W^dagger U W`` with W's columns ``(e_a + e_b)/sqrt(2)`` and
+    ``i(e_a - e_b)/sqrt(2)`` for each arc pair (a, b)."""
+    w = np.zeros((walk.space.m, walk.space.m), dtype=complex)
+    for p, (a, b) in enumerate(pairs.T.tolist()):
+        w[[a, b], 2 * p] = 1 / np.sqrt(2)
+        w[[a, b], 2 * p + 1] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+    return w.conj().T @ walk.step.toarray() @ w
+
+
+def _check_coin_eigenpairs(walk, pairs, basis):
+    dense = _dense_reverse_arc_operator(walk, pairs)
+    quotients = np.einsum("ij,ij->j", basis, dense @ basis)
+    residuals = np.linalg.norm(dense @ basis - basis * quotients, axis=0)
+    eigenvalues, coin_residuals = _coin_eigenpairs(walk, pairs, basis)
+    assert np.abs(eigenvalues - quotients).max() < 1e-13
+    assert np.abs(coin_residuals - residuals).max() < 1e-13 * max(1.0, residuals.max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coin_eigenpair_check_matches_dense_check_on_karate(karate, karate_walk_n1,
+                                                            karate_spectrum_n1, n):
+    walk = karate_walk_n1 if n == 1 else walk_on(karate, n)
+    spec = karate_spectrum_n1 if n == 1 else unitary_spectrum(walk)
+    _check_coin_eigenpairs(walk, spec.pairs, spec.basis)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_coin_eigenpair_check_matches_dense_check_on_random_complexes(seed):
+    # eigenvectors, and real orthonormal columns that are not eigenvectors,
+    # whose residuals are of order one
+    rng = np.random.default_rng(seed)
+    K = random_clique_complex(seed)
+    for n in (1, 2):
+        if n <= K.max_dim and K.arc_count(n):
+            walk = walk_on(K, n)
+            spec = unitary_spectrum(walk)
+            _check_coin_eigenpairs(walk, spec.pairs, spec.basis)
+            q, _ = np.linalg.qr(rng.standard_normal((walk.space.m, walk.space.m)))
+            _check_coin_eigenpairs(walk, spec.pairs, q)
 
 
 def test_large_residual_is_a_numerical_error(karate, monkeypatch):
