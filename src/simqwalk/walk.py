@@ -8,10 +8,13 @@ neighborhood) followed by the shift that swaps every arc with its reverse.
 Evolution runs in a component-major frame: arcs are grouped by
 lower-connected component and, inside it, by degree class.  No step leaves a
 component, so every initial arc of a source evolves at once as one column of
-an ``(m_c, d)`` block on its component's m_c arcs, exactly, and every other
-arc keeps amplitude zero.  A step is then one Fourier matmul per degree
-class (the coin) and one gather along the component's reverse-arc
-permutation (the shift).
+a state on its component's m_c arcs, exactly, and every other arc keeps
+amplitude zero.  States are float64 planes: inside each degree class the
+real parts of its arcs come first, then their imaginary parts, so a state is
+``(2 m_c, d)`` and a class of degree k is one ``(2k, count * d)`` view.  A
+step is then one real matmul per degree class with the ``2k x 2k`` matrix
+``[[Re F, -Im F], [Im F, Re F]]`` of its Fourier coin F, and one gather
+along the component's planar reverse-row permutation (the shift).
 
 Two estimators of the long-run weight (flat baseline ``1/m`` on m arcs) are
 provided: a finite-horizon time average by batched evolution, and the exact
@@ -28,7 +31,7 @@ cosine inside clusters of near-equal eigenvalues.  Every eigenpair is
 checked through the coin alone: ``psi = W r`` satisfies ``S psi = conj(psi)``,
 so the Rayleigh quotient ``r^T M r`` is ``psi^T C psi`` and the residual
 ``|C psi - lambda conj(psi)|`` equals ``|Mr - lambda r|``; the check runs the
-evolution's class matmuls on chunks of columns.  A real r puts mass
+evolution's planar class matmuls on chunks of columns.  A real r puts mass
 ``(r_p**2 + r_q**2)/2`` on both arcs of its pair, so every group's
 per-simplex Gram matrix ``G_x`` comes from real vectors and every seed's
 weights from one product, ``sum_g tr(G_x G_y)``.
@@ -38,7 +41,8 @@ check, and the spectral average's row product) run with numpy's OpenBLAS
 pool held at one thread and the previous count restored after.  They are
 small and many, and a second thread only adds hand-offs that stall when
 cores are shared.  scipy's own OpenBLAS pool, which runs the ``eigh``,
-keeps its threads.
+keeps its threads; ``scipy.linalg`` is imported by the spectral estimator
+alone, so the finite one never loads it.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .complexes import Simplex, SimplicialComplex
@@ -90,7 +94,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _ALPHA = 0.5772156649015329  # generic: no rational multiple of pi
 _CLUSTER_GAP = 1e-6  # eigh's vectors are accurate to about eps / gap
 _CHUNK = 256  # columns per block of the chunked Gram products
-_CHECK_CHUNK = 128  # columns per block of the eigenpair check
+_CHECK_CHUNK = 32  # columns per block of the eigenpair check
 
 
 @dataclass(frozen=True)
@@ -223,26 +227,56 @@ def shift_operator(space: WalkSpace) -> sp.csr_matrix:
     return sp.csr_matrix((data, (np.arange(m), space.reverse)), shape=(m, m))
 
 
+def _planar_coin(k: int) -> np.ndarray:
+    """The k x k Fourier coin acting on real and imaginary planes: the real
+    ``2k x 2k`` matrix ``[[Re F, -Im F], [Im F, Re F]]``."""
+    f = fourier_block(k)
+    return np.block([[f.real, -f.imag], [f.imag, f.real]])
+
+
+class _Component(NamedTuple):
+    """One lower-connected component of the arc frame.
+
+    ``part`` is its frame slice and ``classes`` its degree classes
+    ``(slice, k, planar coin)``, local to ``part``.  The component's state is
+    planar: its rows are ``planar``, twice ``part``, and each class's real
+    rows come first, then its imaginary rows.  ``shift`` is the reverse-arc
+    permutation of those planar rows and ``source`` the active index of each
+    planar row's source.
+    """
+
+    part: slice
+    classes: tuple
+    shift: np.ndarray
+    source: np.ndarray
+
+    @property
+    def planar(self) -> slice:
+        return slice(2 * self.part.start, 2 * self.part.stop)
+
+
 @dataclass(frozen=True)
 class _ArcFrame:
     """The arc order the evolution kernel works in.
 
     Blocks are grouped by lower-connected component, in order of first
-    simplex, and inside one into degree classes, in ascending degree.
-    ``components[c]`` holds component c's frame slice, its reverse-arc
-    permutation and its classes ``(slice, k, coin)``, both local to that
-    slice (c as in ``WalkSpace.component``).  Inside a class of ``count``
-    blocks of degree ``k`` the frame is slot-major: position
+    simplex, and inside one into degree classes, in ascending degree
+    (``components[c]``, c as in ``WalkSpace.component``).  Inside a class of
+    ``count`` blocks of degree ``k`` the frame is slot-major: position
     ``offset + a * count + j`` holds arc ``a`` of the class's j-th block.
-    An ``(m_c, d)`` state's class slice then reshapes, without a copy, to
-    ``(k, count * d)``, so one ``k x k`` Fourier matmul applies the coin
-    to every block of the class.
+    States are float64 planes over twice the frame: a class at frame
+    positions ``[o, o + s)`` holds its real parts in planar rows
+    ``[2o, 2o + s)`` and its imaginary parts in ``[2o + s, 2o + 2s)``.  A
+    ``(2 m_c, d)`` state's class rows then reshape, without a copy, to
+    ``(2k, count * d)``, so one real ``2k x 2k`` matmul applies the coin to
+    every block of the class.
     """
 
     arcs: np.ndarray  # frame position -> arc index
     position: np.ndarray  # arc index -> frame position
     source: np.ndarray  # frame position -> active index of the arc's source
-    components: tuple[tuple[slice, np.ndarray, tuple], ...]  # (slice, reverse, classes)
+    planes: np.ndarray  # (2, m): arc index -> its real and its imaginary planar row
+    components: tuple[_Component, ...]
 
 
 def _arc_frame(space: WalkSpace) -> _ArcFrame:
@@ -250,7 +284,7 @@ def _arc_frame(space: WalkSpace) -> _ArcFrame:
     # one stable sort of the blocks by (component, degree); runs of equal keys are classes
     order = np.lexsort((degrees, component))
     cuts = np.flatnonzero(np.diff(component[order]) | np.diff(degrees[order])) + 1
-    coins = {k: fourier_block(k) for k in np.unique(degrees).tolist()}
+    coins = {k: _planar_coin(k) for k in np.unique(degrees).tolist()}
     parts = [np.zeros(0, dtype=np.int64)]
     sizes = [0] * (component.max(initial=-1) + 1)
     classes: list[list] = [[] for _ in sizes]
@@ -262,10 +296,18 @@ def _arc_frame(space: WalkSpace) -> _ArcFrame:
     arcs = np.concatenate(parts)
     position = np.empty_like(arcs)
     position[arcs] = np.arange(space.m)
-    reverse, starts = position[space.reverse[arcs]], (np.cumsum(sizes) - sizes).tolist()
-    components = tuple((slice(a, a + size), reverse[a : a + size] - a, tuple(classes[c]))
+    # frame position q of a class at [o, o + s) has planar rows q + o and q + o + s
+    lengths = np.array([part.size for part in parts], dtype=np.int64)
+    real = np.arange(space.m) + np.repeat(np.cumsum(lengths) - lengths, lengths)
+    planar = np.stack([real, real + np.repeat(lengths, lengths)])
+    reverse, source = position[space.reverse[arcs]], space.source[arcs]
+    shift, row_source = np.empty(2 * space.m, dtype=np.int64), np.empty(2 * space.m, dtype=np.int64)
+    shift[planar], row_source[planar] = planar[:, reverse], source
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    components = tuple(_Component(slice(a, a + size), tuple(classes[c]),
+                                  shift[2 * a : 2 * (a + size)] - 2 * a, row_source[2 * a : 2 * (a + size)])
                        for c, (a, size) in enumerate(zip(starts, sizes)))
-    return _ArcFrame(arcs, position, space.source[arcs], components)
+    return _ArcFrame(arcs, position, source, planar[:, position], components)
 
 
 @dataclass(frozen=True)
@@ -358,34 +400,33 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _coin_views(classes, psi: np.ndarray, coined: np.ndarray) -> list:
-    """Per degree class of a component: its Fourier block and the
-    ``(k, count * d)`` views of the class in ``psi`` and in ``coined``."""
-    return [(fourier, psi[part].reshape(k, -1), coined[part].reshape(k, -1))
-            for part, k, fourier in classes]
+    """Per degree class of a component: its planar coin and the
+    ``(2k, count * d)`` views of the class in planar ``psi`` and ``coined``."""
+    return [(coin, psi[2 * part.start : 2 * part.stop].reshape(2 * k, -1),
+             coined[2 * part.start : 2 * part.stop].reshape(2 * k, -1))
+            for part, k, coin in classes]
 
 
-def _evolution(component, psi: np.ndarray, t_max: int):
-    """Step an ``(m_c, d)`` state on one component's frame slice in place
+def _evolution(component: _Component, psi: np.ndarray, t_max: int):
+    """Step a planar ``(2 m_c, d)`` state on one component in place
     ``t_max`` times, yielding it after each step.  The yielded array is
     overwritten by the next step."""
-    _, reverse, classes = component
     coined = np.empty_like(psi)
-    views = _coin_views(classes, psi, coined)
+    views = _coin_views(component.classes, psi, coined)
     with _ONE_BLAS_THREAD:
         for _ in range(t_max):
-            for fourier, state, out in views:
-                np.matmul(fourier, state, out=out)
+            for coin, state, out in views:
+                np.matmul(coin, state, out=out)
             # the indices are a permutation, so no index is ever clipped; in
             # the default mode numpy would copy through a buffer instead of
             # writing straight into psi
-            np.take(coined, reverse, axis=0, out=psi, mode="clip")
+            np.take(coined, component.shift, axis=0, out=psi, mode="clip")
             yield psi
 
 
-def _arc_mass(psi: np.ndarray) -> np.ndarray:
-    """Squared amplitude on each arc, summed over the state's columns."""
-    parts = psi.view(np.float64)
-    return np.einsum("ij,ij->i", parts, parts)
+def _row_mass(psi: np.ndarray) -> np.ndarray:
+    """Squared amplitude on each planar row, summed over the state's columns."""
+    return np.einsum("ij,ij->i", psi, psi)
 
 
 def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
@@ -398,24 +439,27 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
         raise InvalidParameterError(
             f"state has shape {psi.shape}, expected ({walk.space.m},)"
         )
-    block = psi[walk.frame.arcs, None]
+    planes = walk.frame.planes
+    block = np.empty((2 * walk.space.m, 1))
+    block[planes, 0] = psi.real, psi.imag
     for component in walk.frame.components:
-        for _ in _evolution(component, block[component[0]], t):
+        for _ in _evolution(component, block[component.planar], t):
             pass
-    return block[walk.frame.position, 0]
+    real, imag = block[planes, 0]
+    return real + 1j * imag
 
 
 def _source_evolution(walk: UnitaryWalk, source: Simplex, t_max: int):
     """Evolve every initial arc of an active source together, one column
     each, on the source's component only; returns the source's degree, the
-    component's frame slice and the step iterator over its ``(m_c, d)`` state."""
+    component and the step iterator over its planar ``(2 m_c, d)`` state."""
     blk = walk.space.block(source)
     d = blk.stop - blk.start
     component = walk.frame.components[walk.space.component[walk.space.index[source]]]
-    part = component[0]
-    psi = np.zeros((part.stop - part.start, d), dtype=np.complex128)
-    psi[walk.frame.position[blk] - part.start, np.arange(d)] = 1.0
-    return d, part, _evolution(component, psi, t_max)
+    rows = component.planar
+    psi = np.zeros((rows.stop - rows.start, d))
+    psi[walk.frame.planes[0, blk] - rows.start, np.arange(d)] = 1.0
+    return d, component, _evolution(component, psi, t_max)
 
 
 def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
@@ -434,11 +478,11 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
         raise InvalidParameterError("t_max must be >= 1")
     space = walk.space
     sx = space.require_active(source)
-    d_source, part, steps = _source_evolution(walk, sx, t_max)
-    n_active, source = len(space.active), walk.frame.source[part]
+    d_source, component, steps = _source_evolution(walk, sx, t_max)
+    n_active = len(space.active)
     profile = np.empty((t_max, n_active))
     for t, psi in enumerate(steps):
-        profile[t] = np.bincount(source, _arc_mass(psi), minlength=n_active)
+        profile[t] = np.bincount(component.source, _row_mass(psi), minlength=n_active)
     return profile / (d_source * space.degrees)
 
 
@@ -476,17 +520,19 @@ def finite_time_average(
         raise InvalidParameterError("time_steps must be >= 1")
     space = walk.space
     sx = space.require_active(source)
-    d_source, part, steps = _source_evolution(walk, sx, time_steps)
-    mass = np.zeros(part.stop - part.start)
+    d_source, component, steps = _source_evolution(walk, sx, time_steps)
+    mass = np.zeros(len(component.source))
     for psi in steps:
-        mass += _arc_mass(psi)
-    total = np.bincount(walk.frame.source[part], mass, minlength=len(space.active))
+        mass += _row_mass(psi)
+    total = np.bincount(component.source, mass, minlength=len(space.active))
     mean = total / (time_steps * d_source * space.degrees)
     return TransitionTable(
         source=sx,
         estimator=f"finite(T={time_steps})",
         weights=mean,
-        # a step rounds a unit state by about k**1.5 eps (k: largest coin)
+        # a step's real 2k-term coin products round a unit state by about
+        # k**1.5 eps (k: largest coin); at T = 100 on karate the state error
+        # against dense powers stays about 1,000 times below this sum
         error=time_steps * float(space.degrees.max()) ** 1.5 * _EPS,
         space=space,
     )
@@ -539,6 +585,8 @@ def _real_eigenvectors(rotated: sp.csr_matrix) -> np.ndarray:
     """Real orthonormal eigenvectors of a complex symmetric unitary ``h + i k``:
     eigenvectors of ``h`` (cos phi), separated by ``k`` (sin phi) inside
     clusters of near-equal cos phi."""
+    import scipy.linalg  # only the spectral estimator pays for loading it
+
     h, k = rotated.real, rotated.imag
     try:
         cos, basis = scipy.linalg.eigh(h.toarray(order="F"), overwrite_a=True, check_finite=False)
@@ -556,23 +604,38 @@ def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
     real columns r of ``basis`` (reverse-arc basis of ``pairs``) through the
     coin alone: ``psi = W r`` satisfies ``S psi = conj(psi)``, so
     ``lambda = psi^T C psi`` and ``|C psi - lambda conj(psi)| = |Mr - lambda r|``.
-    ``psi`` is laid out in the walk's frame, one class GEMM per column chunk."""
+    ``psi`` is laid out in the walk's planes, one class GEMM per column chunk."""
     frame, m = walk.frame, basis.shape[0]
-    at_a, at_b = frame.position[pairs[0]], frame.position[pairs[1]]
+    # sqrt(2) psi holds r[2p] on the real rows of both arcs of pair p and
+    # +-r[2p + 1] on their imaginary rows; the planes of i conj(psi) swap
+    # each arc's real and imaginary row, so they come from the same rows of r
+    rows = frame.planes[:, pairs]
+    pick = np.empty(2 * m, dtype=np.int64)
+    pick[rows] = 2 * np.arange(m // 2) + np.arange(2)[:, None, None]
+    sign, conj_sign, swap_sign = np.ones(2 * m), np.ones(2 * m), np.ones(2 * m)
+    sign[rows[1, 1]] = conj_sign[rows[1]] = swap_sign[rows[0, 1]] = -1.0
     eigenvalues, residuals = np.empty(m, dtype=np.complex128), np.empty(m)
     with _ONE_BLAS_THREAD:
         for lo in range(0, m, _CHECK_CHUNK):
-            r = basis[:, lo : lo + _CHECK_CHUNK]
-            psi = np.empty((m, r.shape[1]), dtype=np.complex128)
-            psi[at_a] = (r[0::2] + 1j * r[1::2]) / np.sqrt(2)
-            psi[at_b] = psi[at_a].conj()
+            r = np.ascontiguousarray(basis[:, lo : lo + _CHECK_CHUNK])
+            psi = r[pick]
+            psi *= sign[:, None]
             coined = np.empty_like(psi)
-            for part, _, classes in frame.components:
-                for fourier, state, out in _coin_views(classes, psi[part], coined[part]):
-                    np.matmul(fourier, state, out=out)
-            value = np.einsum("ij,ij->j", psi, coined)
-            eigenvalues[lo : lo + _CHECK_CHUNK] = value
-            residuals[lo : lo + _CHECK_CHUNK] = np.linalg.norm(coined - psi.conj() * value, axis=0)
+            for component in frame.components:
+                own = component.planar
+                for coin, state, out in _coin_views(component.classes, psi[own], coined[own]):
+                    np.matmul(coin, state, out=out)
+            conj, swapped = psi, r[pick ^ 1]
+            conj *= conj_sign[:, None]
+            swapped *= swap_sign[:, None]
+            real = np.einsum("ij,ij->j", conj, coined) / 2
+            imag = np.einsum("ij,ij->j", swapped, coined) / 2
+            eigenvalues[lo : lo + _CHECK_CHUNK] = real + 1j * imag
+            conj *= real
+            swapped *= imag
+            coined -= conj
+            coined -= swapped
+            residuals[lo : lo + _CHECK_CHUNK] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
     return eigenvalues, residuals
 
 

@@ -130,13 +130,19 @@ def transition_weights_dense(walk, source, t):
 
 
 def finite_average_dense(walk, source, time_steps):
-    """Average of the dense-power transition weights over 1..time_steps."""
-    acc = {target: 0.0 for target in walk.space.active}
-    for t in range(1, time_steps + 1):
-        weights = transition_weights_dense(walk, source, t)
-        for target, w in weights.items():
-            acc[target] += w
-    return {target: w / time_steps for target, w in acc.items()}
+    """Average of the transition weights over 1..time_steps, from the
+    source's columns of U**t, one dense product of U per step."""
+    space = walk.space
+    u = walk.step.toarray()
+    bx = space.block(tuple(source))
+    columns, mass = u[:, bx], np.zeros(space.m)
+    for _ in range(time_steps):
+        mass += (np.abs(columns) ** 2).sum(axis=1)
+        columns = u @ columns
+    return {
+        target: mass[space.block(target)].sum() / ((bx.stop - bx.start) * space.degree(target) * time_steps)
+        for target in space.active
+    }
 
 
 def modularity_dense(K, n, communities):

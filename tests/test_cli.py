@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +153,35 @@ def test_modularity_roundtrip(edges_file, tmp_path):
     assert doc["modularity"] == pytest.approx(detected["modularity"], abs=1e-12)
     assert doc["arc_count"] == 302
     assert sum(doc["contributions"]) == pytest.approx(doc["modularity"], abs=1e-9)
+
+
+_LOADS_LINALG = """
+import json, sys
+from pathlib import Path
+import simqwalk.cli
+
+edges, work = Path(sys.argv[1]), Path(sys.argv[2])
+loaded = []
+for argv in (["detect", "--dim", "2", "--method", "finite", "--time-steps", "5"],
+             ["spectrum", "--dim", "1"], ["verify", "--dim", "2"],
+             ["modularity", "--dim", "2", "--partition", str(work / "part.json")],
+             ["detect", "--dim", "2", "--method", "spectral"]):
+    assert simqwalk.cli.main(argv + [str(edges), "--output", str(work / "out.json")]) == 0
+    if argv[0] == "detect" and argv[4] == "finite":
+        communities = json.loads((work / "out.json").read_text())["communities"]
+        (work / "part.json").write_text(json.dumps({"communities": communities}))
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_linalg_loads_only_for_the_spectral_estimator(edges_file, tmp_path):
+    # a fresh interpreter: this test process has long imported scipy.linalg
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _LOADS_LINALG, str(edges_file), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
 def test_verify_reports_identities(edges_file, tmp_path):

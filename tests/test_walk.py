@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from simqwalk import (
@@ -238,6 +239,67 @@ def test_evolve_matches_step_matrix(karate):
     for t in range(1, 6):
         expected = walk.step @ expected
         assert np.abs(evolve(walk, state, t) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_planar_coin_matches_the_fourier_block(k):
+    # odd, even and prime k, on unit columns held as real and imaginary planes
+    rng = np.random.default_rng(k)
+    z = rng.standard_normal((k, 7)) + 1j * rng.standard_normal((k, 7))
+    z /= np.linalg.norm(z, axis=0)
+    planar = walk_module._planar_coin(k) @ np.vstack([z.real, z.imag])
+    expected = fourier_block(k) @ z
+    assert np.abs(planar[:k] - expected.real).max() <= 1e-15
+    assert np.abs(planar[k:] - expected.imag).max() <= 1e-15
+
+
+def test_planar_coin_of_the_smallest_blocks():
+    # R_1 is the identity on both planes; F_2 is real up to the rounding of
+    # sin(pi), so R_2 mixes the planes by at most eps
+    assert np.array_equal(walk_module._planar_coin(1), np.eye(2))
+    r2 = walk_module._planar_coin(2)
+    assert np.array_equal(r2[:2, :2], r2[2:, 2:])
+    assert np.array_equal(r2[:2, :2], fourier_block(2).real)
+    assert np.abs(r2[:2, 2:]).max() <= np.finfo(float).eps
+    assert np.abs(r2[2:, :2]).max() <= np.finfo(float).eps
+
+
+def _complex_case(karate, name, n):
+    """karate, the bowtie and tetrahedron "union", or "random<seed>"; skips
+    a dimension without arcs."""
+    if name == "karate":
+        return karate
+    K = _bowtie_and_tetrahedron() if name == "union" else random_clique_complex(int(name[6:]))
+    if n > K.max_dim or not K.arc_count(n):
+        pytest.skip("no arcs at this dimension")
+    return K
+
+
+@pytest.mark.parametrize(
+    "name,n", [(f"random{seed}", n) for seed in (1, 2, 3, 4) for n in (1, 2)] + [("union", 1)]
+)
+def test_evolve_matches_step_powers_on_random_complexes(karate, name, n):
+    walk = walk_on(_complex_case(karate, name, n), n)
+    rng = np.random.default_rng(walk.space.m)
+    state = rng.normal(size=walk.space.m) + 1j * rng.normal(size=walk.space.m)
+    expected = state
+    for t in range(1, 9):
+        expected = walk.step @ expected
+        assert np.abs(evolve(walk, state, t) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,n", [("karate", n) for n in (1, 2, 3, 4)] + [("random1", 1), ("random4", 1)]
+)
+def test_finite_average_stays_within_its_error_at_the_default_horizon(karate, name, n):
+    # the error bound sums a per-step rounding over all T = 100 steps
+    walk = walk_on(_complex_case(karate, name, n), n)
+    space = walk.space
+    for source in (max(space.active, key=space.degree), min(space.active, key=space.degree)):
+        table = finite_time_average(walk, source)
+        assert table.estimator == "finite(T=100)"
+        dense = oracles.finite_average_dense(walk, source, 100)
+        assert max(abs(table[s] - dense[s]) for s in space.active) <= table.error
 
 
 def test_finite_path_builds_no_sparse_operator(karate, monkeypatch, tmp_path):
@@ -508,19 +570,21 @@ def test_each_seed_evolves_exactly_on_its_own_component(karate, case):
     + [("union", 1)],
 )
 def test_frame_is_component_major(karate, name, n):
-    if name == "karate":
-        K = karate
-    else:
-        K = _bowtie_and_tetrahedron() if name == "union" else random_clique_complex(int(name[6:]))
-        if n > K.max_dim or not K.arc_count(n):
-            pytest.skip("no arcs at this dimension")
+    K = _complex_case(karate, name, n)
     walk = walk_on(K, n)
     space, frame = walk.space, walk.frame
     assert np.array_equal(np.sort(frame.arcs), np.arange(space.m))
     assert np.array_equal(frame.position[frame.arcs], np.arange(space.m))
     found = set()
-    for c, (part, reverse, classes) in enumerate(frame.components):
+    for c, component in enumerate(frame.components):
+        part, classes = component.part, component.classes
         arcs, members = frame.arcs[part], np.unique(frame.source[part])
+        # planar real and imaginary row of each position of the frame slice,
+        # and the reverse-arc permutation that the shift applies to them
+        rows = frame.planes[:, arcs] - component.planar.start
+        at = np.empty(2 * len(arcs), dtype=np.int64)
+        at[rows] = np.arange(len(arcs))
+        reverse = at[component.shift[rows[0]]]
         assert np.all(space.component[members] == c)
         found.add(frozenset(space.active[i] for i in members.tolist()))
         # closed under reverse, through the component's own permutation
@@ -531,6 +595,17 @@ def test_frame_is_component_major(karate, name, n):
         assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
         assert bounds[-1][1] == len(arcs)
         assert [k for _, k, _ in classes] == sorted({k for _, k, _ in classes})
+        # planes: each class's real rows, then its imaginary rows, tile the
+        # component's planar slice
+        assert component.planar.stop - component.planar.start == 2 * len(arcs)
+        for cls, _, _ in classes:
+            assert np.array_equal(rows[0, cls], np.arange(2 * cls.start, cls.start + cls.stop))
+            assert np.array_equal(rows[1, cls], np.arange(cls.start + cls.stop, 2 * cls.stop))
+        assert np.array_equal(component.source[rows], np.broadcast_to(frame.source[part], rows.shape))
+        # the planar shift is an involution that follows the reverse arc and
+        # keeps real rows real
+        assert np.array_equal(component.shift[component.shift], np.arange(2 * len(arcs)))
+        assert np.array_equal(component.shift[rows], rows[:, reverse])
     assert found == {c for c in oracles.down_components(K, n) if len(c) > 1}
 
 
@@ -790,7 +865,7 @@ def test_memory_guard_refuses_dense_spectrum(karate_walk_n1, monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("dense work started before the memory check")
 
-    monkeypatch.setattr(walk_module.scipy.linalg, "eigh", no_dense)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
     with pytest.raises(NumericalError, match="physical memory"):
         unitary_spectrum(karate_walk_n1)
 
