@@ -7,6 +7,15 @@ dimension, a lexicographically sorted ``(N_n, n+1)`` int64 array of
 positions into them; it builds the tuples, boundary matrices, adjacency,
 degrees and lower neighborhoods that the other layers read on first use.
 
+The constructor finds the row of every face of every simplex (the face
+ranks).  Lower and upper adjacency are CSR ``(indptr, indices)`` arrays made
+straight from them: the simplices that share a face, or the faces of one
+coface, form a group, and every ordered pair of distinct members of a group
+is an entry.  Components, lower neighborhoods, arc counts, upper degrees and
+the walk space read these arrays, so none of them needs ``scipy``;
+``scipy.sparse`` is imported only by :meth:`SimplicialComplex.adjacency` and
+:meth:`SimplicialComplex.boundary_matrix`, which return sparse matrices.
+
 All integer matrices are exact: no floating point enters this module.
 """
 
@@ -14,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DegenerateSimplexError,
@@ -25,6 +33,9 @@ from .errors import (
     InvalidParameterError,
     UnknownSimplexError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Simplex = tuple[int, ...]
 Edge = tuple[int, int]
@@ -131,6 +142,7 @@ class SimplicialComplex:
             self._faces[n], self._keys[n] = rank, rank[:, 0] * len(ids) + cells[:, -1]
         # lazy caches, keyed by dimension (and flavor)
         self._tuples, self._boundary, self._lower_nbrs = {}, {}, {}
+        self._arrays: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
         self._adjacency: dict[tuple[int, str], sp.csr_matrix] = {}
         self._components: dict[tuple[int, str], np.ndarray] = {}
 
@@ -202,6 +214,8 @@ class SimplicialComplex:
         simplex has ``(-1)**k`` at the row of the face obtained by dropping
         its k-th vertex.  Consecutive matrices compose to zero exactly.  Cached.
         """
+        import scipy.sparse as sp
+
         self._require_dim(n, low=1)
         if n not in self._boundary:
             # the face rows found when the complex was checked; column f drops vertex n - f
@@ -214,6 +228,35 @@ class SimplicialComplex:
 
     # -- adjacency ----------------------------------------------------------
 
+    def _adjacency_arrays(self, n: int, flavor: str) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of ``adjacency(n, flavor)``, int64, from
+        the face ranks.  Lower: the n-simplices that share a face form a
+        group.  Upper: the n-faces of one (n+1)-simplex do.  Every ordered
+        pair of distinct members of a group is an entry, and two simplices
+        share at most one face and at most one coface, so no pair repeats.
+        Cached per dimension and flavor."""
+        if flavor not in ("upper", "lower"):
+            raise InvalidParameterError(f"unknown adjacency flavor {flavor!r}")
+        self._require_dim(n, low=1 if flavor == "lower" else 0)
+        key = (n, flavor)
+        if key not in self._arrays:
+            if flavor == "lower":
+                face = self._faces[n].ravel()
+                member = np.argsort(face, kind="stable") // (n + 1)
+                count = np.bincount(face, minlength=self.num_simplices(n - 1))
+            else:
+                member = self._faces[n + 1].ravel() if n < self.max_dim else np.zeros(0, np.int64)
+                count = np.full(len(member) // (n + 2), n + 2)
+            # member e of a group of k starting at s pairs with members s..s + k - 1
+            size = np.repeat(count, count)
+            first = np.repeat(np.repeat(np.cumsum(count) - count, count), size)
+            rows = np.repeat(member, size)
+            cols = member[first + np.arange(len(rows)) - np.repeat(np.cumsum(size) - size, size)]
+            total = self.num_simplices(n)
+            pairs = np.sort((rows * total + cols)[rows != cols])
+            self._arrays[key] = (np.searchsorted(pairs, np.arange(total + 1) * total), pairs % total)
+        return self._arrays[key]
+
     def adjacency(self, n: int, flavor: str) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency among n-simplices, as CSR with sorted indices.
 
@@ -225,21 +268,14 @@ class SimplicialComplex:
         simplices share at most one face and at most one coface, so every
         entry is 0 or 1.  Cached per dimension and flavor.
         """
-        if flavor not in ("upper", "lower"):
-            raise InvalidParameterError(f"unknown adjacency flavor {flavor!r}")
-        self._require_dim(n, low=1 if flavor == "lower" else 0)
+        import scipy.sparse as sp
+
+        indptr, indices = self._adjacency_arrays(n, flavor)
         key = (n, flavor)
         if key not in self._adjacency:
-            if flavor == "lower":
-                incidence = abs(self.boundary_matrix(n)).T
-            elif n < self.max_dim:
-                incidence = abs(self.boundary_matrix(n + 1))
-            else:
-                incidence = sp.csr_matrix((self.num_simplices(n), 0), dtype=np.int64)
-            gram = incidence @ incidence.T
-            adjacency = (sp.triu(gram, 1) + sp.tril(gram, -1)).tocsr()
-            adjacency.sort_indices()
-            self._adjacency[key] = adjacency
+            size = self.num_simplices(n)
+            data = np.ones(len(indices), dtype=np.int64)
+            self._adjacency[key] = sp.csr_matrix((data, indices, indptr), shape=(size, size))
         return self._adjacency[key]
 
     def components(self, n: int, flavor: str) -> np.ndarray:
@@ -248,9 +284,8 @@ class SimplicialComplex:
         traversal of the CSR arrays; cached per dimension and flavor."""
         key = (n, flavor)
         if key not in self._components:
-            adjacency = self.adjacency(n, flavor)
-            bounds, indices = adjacency.indptr.tolist(), adjacency.indices.tolist()
-            labels = [-1] * adjacency.shape[0]
+            bounds, indices = (a.tolist() for a in self._adjacency_arrays(n, flavor))
+            labels = [-1] * (len(bounds) - 1)
             for root in range(len(labels)):
                 if labels[root] < 0:
                     labels[root], stack = root, [root]
@@ -269,10 +304,9 @@ class SimplicialComplex:
         view of the lower adjacency."""
         self._require_dim(n, low=1)
         if n not in self._lower_nbrs:
-            adjacency = self.adjacency(n, "lower")
+            bounds, indices = (a.tolist() for a in self._adjacency_arrays(n, "lower"))
             group = self.simplices(n)
-            targets = [group[j] for j in adjacency.indices.tolist()]
-            bounds = adjacency.indptr.tolist()
+            targets = [group[j] for j in indices]
             self._lower_nbrs[n] = {
                 s: tuple(targets[bounds[i] : bounds[i + 1]]) for i, s in enumerate(group)
             }
@@ -288,7 +322,7 @@ class SimplicialComplex:
 
     def arc_count(self, n: int) -> int:
         """Total ordered lower-adjacent pairs at dimension n (m_n)."""
-        return self.adjacency(n, "lower").nnz
+        return len(self._adjacency_arrays(n, "lower")[1])
 
     # -- degrees -------------------------------------------------------------
 
@@ -299,7 +333,7 @@ class SimplicialComplex:
         if flavor == "upper":
             # each coface adds its n + 1 other n-faces as upper neighbors, and
             # two cofaces share no n-face but ``s``
-            bounds = self.adjacency(n, "upper").indptr
+            bounds = self._adjacency_arrays(n, "upper")[0]
             return int(bounds[i + 1] - bounds[i]) // (n + 1)
         if flavor == "lower":
             if n < 1:

@@ -12,17 +12,24 @@ face–coface incidence and on that component's smaller side.
 
 The dimension of the Laplacian kernel counts the n-dimensional holes of the
 complex, which is what :func:`betti_number` reports.
+
+``scipy.sparse`` is imported by the functions that make sparse matrices
+(:func:`hodge_laplacian`, :func:`laplacian_spectrum`), not with the module,
+so a program that imports the package and never calls them does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import SimplicialComplex
 from .errors import InvalidParameterError, NumericalError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "HodgeLaplacian",
@@ -84,6 +91,8 @@ def hodge_laplacian(K: SimplicialComplex, n: int) -> HodgeLaplacian:
     The up part has no entries when dimension n+1 is empty.  Raises
     InvalidParameterError for n outside ``[0, K.max_dim]``.
     """
+    import scipy.sparse as sp
+
     if not 0 <= n <= K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
     empty = sp.csc_matrix((K.num_simplices(n), 0), dtype=np.int64)
@@ -127,6 +136,8 @@ def laplacian_spectrum(
     With ``N_n`` zeros added, the largest ``N_n`` values are the spectrum: no
     rank is decided.  Raises InvalidParameterError for n outside
     ``[0, K.max_dim]``."""
+    import scipy.sparse as sp
+
     if not 0 < kernel_tol < np.inf:
         raise InvalidParameterError(f"kernel_tol must be positive and finite, got {kernel_tol}")
     if not 0 <= n <= K.max_dim:

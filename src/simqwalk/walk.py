@@ -41,8 +41,10 @@ check, and the spectral average's row product) run with numpy's OpenBLAS
 pool held at one thread and the previous count restored after.  They are
 small and many, and a second thread only adds hand-offs that stall when
 cores are shared.  scipy's own OpenBLAS pool, which runs the ``eigh``,
-keeps its threads; ``scipy.linalg`` is imported by the spectral estimator
-alone, so the finite one never loads it.
+keeps its threads.  ``scipy`` is imported only where it is used:
+``scipy.sparse`` by the sparse coin, shift and step and by the spectral
+estimator, ``scipy.linalg`` by the spectral estimator alone.  The walk space
+and the finite estimator run on numpy only.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import (
@@ -66,6 +67,9 @@ from .errors import (
     NumericalError,
     UnknownSimplexError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "WalkSpace",
@@ -180,11 +184,11 @@ def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
         raise InvalidParameterError("the walk is defined for dimensions n >= 1")
     if n > K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [1, {K.max_dim}]")
-    adjacency = K.adjacency(n, "lower")
+    indptr, indices = K._adjacency_arrays(n, "lower")
     group = K.simplices(n)
     # Isolated simplices have empty rows; dropping them leaves the arcs as
     # they are and renumbers the targets to active positions.
-    degrees = np.diff(adjacency.indptr)
+    degrees = np.diff(indptr)
     rows = np.flatnonzero(degrees)
     position = np.cumsum(degrees > 0) - 1
     active = tuple(group[i] for i in rows.tolist())
@@ -194,18 +198,21 @@ def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
         active=active,
         isolated=tuple(s for s in group if s not in index),
         index=index,
-        indptr=adjacency.indptr[np.append(rows, len(group))].astype(np.int64),
-        target=position[adjacency.indices],
+        indptr=indptr[np.append(rows, len(group))],
+        target=position[indices],
         # the adjacency is symmetric, so listing the arcs by (target, source)
         # lists the reverse of every arc in basis order
-        reverse=np.argsort(adjacency.indices, kind="stable"),
+        reverse=np.argsort(indices, kind="stable"),
         component=np.unique(K.components(n, "lower")[rows], return_inverse=True)[1],
     )
 
 
 def fourier_block(d: int) -> np.ndarray:
     """The d x d discrete-Fourier coin: entries ``w**(a*b) / sqrt(d)`` with
-    ``w = exp(2*pi*i/d)``.  Each phase is computed from its exact angle."""
+    ``w = exp(2*pi*i/d)``.  Each phase is ``exp(2*pi*i*a*b/d)`` in floating
+    point, so an entry that is real in exact arithmetic may carry a rounding
+    in its imaginary part: ``fourier_block(2)[1, 1]`` is ``-1/sqrt(2)`` plus
+    about ``8.7e-17 i``."""
     if d < 1:
         raise InvalidParameterError("coin dimension must be >= 1")
     idx = np.arange(d)
@@ -214,6 +221,8 @@ def fourier_block(d: int) -> np.ndarray:
 
 def coin_operator(space: WalkSpace) -> sp.csr_matrix:
     """Block-diagonal coin: one Fourier block per active source simplex."""
+    import scipy.sparse as sp
+
     blocks = [fourier_block(k) for k in space.degrees.tolist()]
     if not blocks:
         return sp.csr_matrix((0, 0), dtype=np.complex128)
@@ -222,6 +231,8 @@ def coin_operator(space: WalkSpace) -> sp.csr_matrix:
 
 def shift_operator(space: WalkSpace) -> sp.csr_matrix:
     """Involutive permutation sending each arc ``|a -> b>`` to ``|b -> a>``."""
+    import scipy.sparse as sp
+
     m = space.m
     data = np.ones(m, dtype=np.complex128)
     return sp.csr_matrix((data, (np.arange(m), space.reverse)), shape=(m, m))
@@ -272,9 +283,6 @@ class _ArcFrame:
     every block of the class.
     """
 
-    arcs: np.ndarray  # frame position -> arc index
-    position: np.ndarray  # arc index -> frame position
-    source: np.ndarray  # frame position -> active index of the arc's source
     planes: np.ndarray  # (2, m): arc index -> its real and its imaginary planar row
     components: tuple[_Component, ...]
 
@@ -307,7 +315,7 @@ def _arc_frame(space: WalkSpace) -> _ArcFrame:
     components = tuple(_Component(slice(a, a + size), tuple(classes[c]),
                                   shift[2 * a : 2 * (a + size)] - 2 * a, row_source[2 * a : 2 * (a + size)])
                        for c, (a, size) in enumerate(zip(starts, sizes)))
-    return _ArcFrame(arcs, position, source, planar[:, position], components)
+    return _ArcFrame(planar[:, position], components)
 
 
 @dataclass(frozen=True)
@@ -643,6 +651,8 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
     """Entries ``G_x[i, j]`` of every group's Gram matrices, one column per
     (i, j) in the group: with ``z = sym + i anti``, arc a of a pair adds
     ``conj(z_i) z_j / 2`` to its source's entry and arc b the conjugate."""
+    import scipy.sparse as sp
+
     pair, shape = np.arange(pairs.shape[1]), (len(space.active), pairs.shape[1])
     at_a, at_b = (sp.csr_matrix((np.ones(shape[1]), (space.source[p], pair)), shape) for p in pairs)
     size = np.fromiter(map(len, groups), np.int64, len(groups))
@@ -667,6 +677,12 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     NoAdjacencyError on a walk without arcs, and NumericalError when that
     matrix and its eigenvectors (``16 m**2`` bytes) exceed physical memory,
     or a residual exceeds ``RESIDUAL_TOL``."""
+    # both before the spectrum's first array: with scipy.linalg loaded later,
+    # between the sparse step and the eigh, the peak RSS of a fresh karate
+    # n = 1 spectrum rose by 2.4 MB
+    import scipy.linalg  # noqa: F401  (read by _real_eigenvectors)
+    import scipy.sparse as sp
+
     m = walk.space.m
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {walk.space.n}")

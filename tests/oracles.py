@@ -3,7 +3,8 @@
 Everything here is deliberately written against different machinery than the
 implementation under test: cliques come from testing every vertex subset
 instead of extending sorted rows by neighbour lists, adjacency from direct
-vertex-set overlap instead of the unsigned boundary Gram matrix, evolution
+vertex-set overlap or from the off-diagonal support of the unsigned boundary
+Gram matrix instead of grouping the face ranks into pairs, evolution
 from dense matrix powers instead of the batched degree-class kernel,
 components from union-find instead of a traversal of the sparse adjacency,
 modularity from a dense modularity matrix instead of per-community counts,
@@ -20,6 +21,7 @@ import itertools
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from simqwalk import (
     build_walk_space,
@@ -108,6 +110,22 @@ def graph_component_count(edges):
 
 def pairwise_lower_neighbors(K, n, simplex):
     return {t for t in K.simplices(n) if lower_adjacent(simplex, t)}
+
+
+def adjacency_gram(K, n, flavor):
+    """``K.adjacency(n, flavor)`` as the off-diagonal support of a sparse Gram
+    matrix: ``|B_n|.T @ |B_n|`` (lower) or ``|B_{n+1}| @ |B_{n+1}|.T``
+    (upper, no entries at ``n = max_dim``), CSR with sorted indices."""
+    if flavor == "lower":
+        incidence = abs(K.boundary_matrix(n)).T
+    elif n < K.max_dim:
+        incidence = abs(K.boundary_matrix(n + 1))
+    else:
+        incidence = sp.csr_matrix((K.num_simplices(n), 0), dtype=np.int64)
+    gram = incidence @ incidence.T
+    adjacency = (sp.triu(gram, 1) + sp.tril(gram, -1)).tocsr()
+    adjacency.sort_indices()
+    return adjacency
 
 
 def cofaces_containing(K, simplex):

@@ -184,6 +184,50 @@ def test_scipy_linalg_loads_only_for_the_spectral_estimator(edges_file, tmp_path
     assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
+_LOADS_SCIPY = """
+import json, sys
+from pathlib import Path
+import simqwalk
+
+edges, work, commands = Path(sys.argv[1]), Path(sys.argv[2]), json.loads(sys.argv[3])
+loaded = [sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]
+import simqwalk.cli
+
+for argv in commands:
+    if argv[0] == "modularity":
+        argv = argv + ["--partition", str(work / "part.json")]
+    assert simqwalk.cli.main(argv + [str(edges), "--output", str(work / "out.json")]) == 0
+    if argv[0] == "detect" and "finite" in argv:
+        communities = json.loads((work / "out.json").read_text())["communities"]
+        (work / "part.json").write_text(json.dumps({"communities": communities}))
+    loaded.append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_modules(edges_file, work, commands):
+    """The scipy modules loaded in a fresh interpreter after ``import
+    simqwalk`` and after each CLI command, run in turn."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _LOADS_SCIPY, str(edges_file), str(work),
+                           json.dumps(commands)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_scipy_loads_only_where_a_sparse_matrix_is_made(edges_file, tmp_path):
+    # numpy alone: the package, build, the finite estimator and modularity
+    numpy_only = [["build"], ["detect", "--dim", "2", "--method", "finite", "--time-steps", "5"],
+                  ["walk", "--dim", "2", "--source", "1,2,3", "--time-steps", "5"],
+                  ["modularity", "--dim", "2"]]
+    assert _scipy_modules(edges_file, tmp_path, numpy_only) == [[]] * (len(numpy_only) + 1)
+    # each in a fresh interpreter, as scipy once loaded stays loaded
+    for command in (["spectrum", "--dim", "1"], ["verify", "--dim", "2"],
+                    ["detect", "--dim", "2", "--method", "spectral"]):
+        before, after = _scipy_modules(edges_file, tmp_path, [command])
+        assert before == [] and "scipy.sparse" in after, command
+
+
 def test_verify_reports_identities(edges_file, tmp_path):
     # 1 <= n < max_dim multiplies two boundary matrices (scipy count_nonzero)
     flags = ["boundary_product_zero", "up_down_zero", "down_up_zero", "all_hold"]

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from simqwalk import (
     DegenerateSimplexError,
@@ -14,11 +15,13 @@ from simqwalk import (
     canonical_simplex,
     clique_complex,
     faces,
+    karate_club_complex,
     karate_club_edges,
     parse_edge_lines,
 )
 
 import oracles
+from conftest import random_clique_complex
 
 
 def test_canonical_simplex_sorts():
@@ -301,6 +304,50 @@ def test_adjacency_matches_pairwise_oracles(karate, bowtie, two_edges):
                 else:
                     expected = oracles.upper_adjacent(K, s, t)
                 assert dense[i, j] == int(expected), (n, flavor, s, t)
+
+
+# karate, 60 seeded random clique complexes and the edge cases of the
+# face-rank grouping, each as a complex factory
+_GRAM_CASES = [pytest.param(karate_club_complex, id="karate")]
+_GRAM_CASES += [pytest.param(lambda seed=seed: random_clique_complex(seed), id=f"random{seed}")
+                for seed in range(60)]
+_GRAM_CASES += [
+    # no dimension above 0: the only adjacency is the empty upper one
+    pytest.param(lambda: SimplicialComplex({0: [(1,), (2,), (3,)]}), id="vertices-only"),
+    # an isolated vertex, and edges and triangles without lower neighbours
+    pytest.param(lambda: SimplicialComplex({0: [(1,), (2,), (3,)], 1: [(1, 2)]}), id="isolated-vertex"),
+    pytest.param(lambda: clique_complex([(1, 2), (3, 4)], max_dim=2), id="two-edges"),
+    pytest.param(lambda: clique_complex([(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)], max_dim=2),
+                 id="bowtie"),
+]
+
+
+@pytest.mark.parametrize("make", _GRAM_CASES)
+def test_adjacency_equals_the_boundary_gram(make):
+    K = make()
+    for n in range(K.max_dim + 1):
+        for flavor in ("lower", "upper") if n else ("upper",):
+            a, gram = K.adjacency(n, flavor), oracles.adjacency_gram(K, n, flavor)
+            for name in ("indptr", "indices", "data"):
+                mine, theirs = getattr(a, name), getattr(gram, name)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), (n, flavor, name)
+            assert a.shape == gram.shape and a.has_sorted_indices == gram.has_sorted_indices
+            # components: each simplex labelled by its component's first simplex
+            _, labels = connected_components(gram, directed=False)
+            first = np.unique(labels, return_index=True)[1]
+            assert np.array_equal(K.components(n, flavor), first[labels]), (n, flavor)
+            group, rows = K.simplices(n), np.diff(gram.indptr)
+            if flavor == "lower":
+                assert K.arc_count(n) == gram.nnz
+                assert K.lower_neighbors(n) == {
+                    s: tuple(group[j] for j in gram.indices[gram.indptr[i] : gram.indptr[i + 1]])
+                    for i, s in enumerate(group)}
+            else:
+                # each coface adds its n + 1 other faces to a simplex's row
+                assert np.all(rows % (n + 1) == 0)
+                assert [K.degree(s, "upper") for s in group] == (rows // (n + 1)).tolist()
+    # the upper flavor at the top dimension has no entries
+    assert K.adjacency(K.max_dim, "upper").nnz == 0
 
 
 def test_upper_adjacency_at_top_dimension_is_empty(karate):

@@ -573,18 +573,31 @@ def test_frame_is_component_major(karate, name, n):
     K = _complex_case(karate, name, n)
     walk = walk_on(K, n)
     space, frame = walk.space, walk.frame
-    assert np.array_equal(np.sort(frame.arcs), np.arange(space.m))
-    assert np.array_equal(frame.position[frame.arcs], np.arange(space.m))
-    found = set()
+    # the planes number every arc's real and imaginary row once: a permutation
+    assert np.array_equal(np.sort(frame.planes, axis=None), np.arange(2 * space.m))
+    row_arc = np.empty(2 * space.m, dtype=np.int64)
+    row_arc[frame.planes] = np.arange(space.m)
+    found, stop, seen = set(), 0, []
     for c, component in enumerate(frame.components):
         part, classes = component.part, component.classes
-        arcs, members = frame.arcs[part], np.unique(frame.source[part])
+        # component-major: each component's slice follows the one before
+        assert part.start == stop and component.planar == slice(2 * part.start, 2 * part.stop)
+        stop = part.stop
+        # frame position -> arc, read off the real rows of each class in turn
+        base = component.planar.start
+        arcs = np.concatenate([row_arc[base + 2 * cls.start : base + cls.start + cls.stop]
+                               for cls, _, _ in classes])
+        seen.append(arcs)
         # planar real and imaginary row of each position of the frame slice,
         # and the reverse-arc permutation that the shift applies to them
-        rows = frame.planes[:, arcs] - component.planar.start
+        rows = frame.planes[:, arcs] - base
         at = np.empty(2 * len(arcs), dtype=np.int64)
         at[rows] = np.arange(len(arcs))
         reverse = at[component.shift[rows[0]]]
+        # each planar row's source, on both planes, is its arc's source
+        source = component.source[rows[0]]
+        assert np.array_equal(component.source[rows], np.broadcast_to(space.source[arcs], rows.shape))
+        members = np.unique(source)
         assert np.all(space.component[members] == c)
         found.add(frozenset(space.active[i] for i in members.tolist()))
         # closed under reverse, through the component's own permutation
@@ -595,17 +608,24 @@ def test_frame_is_component_major(karate, name, n):
         assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
         assert bounds[-1][1] == len(arcs)
         assert [k for _, k, _ in classes] == sorted({k for _, k, _ in classes})
-        # planes: each class's real rows, then its imaginary rows, tile the
-        # component's planar slice
-        assert component.planar.stop - component.planar.start == 2 * len(arcs)
-        for cls, _, _ in classes:
-            assert np.array_equal(rows[0, cls], np.arange(2 * cls.start, cls.start + cls.stop))
+        for cls, k, _ in classes:
+            # slot-major: column j of a class holds the k arcs of its j-th
+            # block, and every arc of a class has degree k
+            slots = arcs[cls].reshape(k, -1)
+            assert np.array_equal(slots - slots[0], np.broadcast_to(np.arange(k)[:, None], slots.shape))
+            assert np.array_equal(space.indptr[source[cls][: slots.shape[1]]], slots[0])
+            assert np.all(space.degrees[source[cls]] == k)
+            # planes: each class's real rows, then its imaginary rows
             assert np.array_equal(rows[1, cls], np.arange(cls.start + cls.stop, 2 * cls.stop))
-        assert np.array_equal(component.source[rows], np.broadcast_to(frame.source[part], rows.shape))
+        # and together they tile the component's planar slice
+        assert np.array_equal(np.sort(rows, axis=None), np.arange(2 * len(arcs)))
         # the planar shift is an involution that follows the reverse arc and
         # keeps real rows real
         assert np.array_equal(component.shift[component.shift], np.arange(2 * len(arcs)))
         assert np.array_equal(component.shift[rows], rows[:, reverse])
+    # the frame is a permutation of the arcs, and its slices cover it
+    assert stop == space.m
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(space.m))
     assert found == {c for c in oracles.down_components(K, n) if len(c) > 1}
 
 
