@@ -121,9 +121,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -290,12 +288,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], list[list], str | None]:
         "down_up_zero": report.down_up_zero,
         "all_hold": report.all_hold,
     }
-    rows = [
-        ["boundary_product_zero", report.boundary_product_zero],
-        ["up_down_zero", report.up_down_zero],
-        ["down_up_zero", report.down_up_zero],
-        ["all_hold", report.all_hold],
-    ]
+    rows = [[identity, holds] for identity, holds in payload.items() if identity != "dim"]
     return payload, ["identity", "holds"], rows, None
 
 

@@ -25,26 +25,26 @@ The coin C is complex symmetric and the shift S a real involution, so
 ``U = S C`` has ``U.T = S U S``.  In the reverse-arc basis W (per arc pair
 {a, b}: ``(e_a + e_b)/sqrt(2)``, ``i(e_a - e_b)/sqrt(2)``) ``M = W^dagger U W``
 is complex symmetric and unitary, so for a generic alpha the real symmetric
-``Re(e^{i alpha} M)`` commutes with M: one ``eigh`` of it gives real
-eigenvectors r of M, and the imaginary part separates phases that share a
-cosine inside clusters of near-equal eigenvalues.  Every eigenpair is
-checked through the coin alone: ``psi = W r`` satisfies ``S psi = conj(psi)``,
-so the Rayleigh quotient ``r^T M r`` is ``psi^T C psi`` and the residual
-``|C psi - lambda conj(psi)|`` equals ``|Mr - lambda r|``; the check runs the
-evolution's planar class matmuls on chunks of columns.  A real r puts mass
-``(r_p**2 + r_q**2)/2`` on both arcs of its pair, so every group's
+``H = Re(e^{i alpha} M)`` commutes with M: one ``eigh`` of it gives real
+eigenvectors r of M, and ``K = Im(e^{i alpha} M)`` separates phases that
+share a cosine inside clusters of near-equal eigenvalues.  Each coin entry
+lands on the 2 x 2 reverse-arc columns of two pairs, so the dense H is one
+``bincount`` over the coin blocks, with neither W nor the sparse step.
+Every eigenpair is checked through the coin alone: ``psi = W r`` satisfies
+``S psi = conj(psi)``, so ``r^T M r = psi^T C psi`` and the residual
+``|C psi - lambda conj(psi)|`` equals ``|Mr - lambda r|``; the check runs
+the evolution's planar class matmuls on chunks of columns.  A real r puts
+mass ``(r_p**2 + r_q**2)/2`` on both arcs of its pair, so every group's
 per-simplex Gram matrix ``G_x`` comes from real vectors and every seed's
 weights from one product, ``sum_g tr(G_x G_y)``.
 
 The walk's own BLAS products (the coin's matmuls in evolution and in the
-check, and the spectral average's row product) run with numpy's OpenBLAS
-pool held at one thread and the previous count restored after.  They are
-small and many, and a second thread only adds hand-offs that stall when
-cores are shared.  scipy's own OpenBLAS pool, which runs the ``eigh``,
-keeps its threads.  ``scipy`` is imported only where it is used:
-``scipy.sparse`` by the sparse coin, shift and step and by the spectral
-estimator, ``scipy.linalg`` by the spectral estimator alone.  The walk space
-and the finite estimator run on numpy only.
+check, the group masses and the spectral average's row product) run with
+numpy's OpenBLAS pool held at one thread and the previous count restored
+after: they are small and many, and a second thread only adds hand-offs
+that stall when cores are shared.  The ``eigh``, LAPACK's divide-and-conquer
+``syevd`` through numpy, keeps the pool's threads.  Both estimators run on
+numpy alone; ``scipy.sparse`` is loaded only by the sparse coin, shift and step.
 """
 
 from __future__ import annotations
@@ -97,8 +97,7 @@ RESIDUAL_TOL = 1e-8  # largest eigenpair residual the spectral estimator accepts
 _EPS = float(np.finfo(np.float64).eps)
 _ALPHA = 0.5772156649015329  # generic: no rational multiple of pi
 _CLUSTER_GAP = 1e-6  # eigh's vectors are accurate to about eps / gap
-_CHUNK = 256  # columns per block of the chunked Gram products
-_CHECK_CHUNK = 32  # columns per block of the eigenpair check
+_CHUNK = 32  # columns per block of the eigenpair check and the group masses
 
 
 @dataclass(frozen=True)
@@ -322,8 +321,8 @@ def _arc_frame(space: WalkSpace) -> _ArcFrame:
 class UnitaryWalk:
     """The one-step evolution ``shift @ coin`` on a walk space.
 
-    Both views are built on first use: evolution runs on ``frame``, and only
-    the spectral estimator reads the sparse ``step``.
+    Both views are built on first use: both estimators run on ``frame`` and
+    the coin blocks, and the sparse ``step`` is built only when asked for.
     """
 
     space: WalkSpace
@@ -378,9 +377,9 @@ class _OneBlasThread:
 
     The first scope to open saves the count and the last to close restores
     it, so scopes nest and may open in several threads at once.  Without
-    both thread calls the scope does nothing.  Where numpy and scipy share
-    one OpenBLAS, a scope takes scipy's threads too, so no scope encloses
-    an ``eigh``.
+    both thread calls the scope does nothing.  No scope encloses the
+    spectral estimator's ``eigh``, which runs on the same pool with all its
+    threads.
     """
 
     def __init__(self):
@@ -444,9 +443,7 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
         raise InvalidParameterError("number of steps must be >= 0")
     psi = np.asarray(state, dtype=np.complex128)
     if psi.shape != (walk.space.m,):
-        raise InvalidParameterError(
-            f"state has shape {psi.shape}, expected ({walk.space.m},)"
-        )
+        raise InvalidParameterError(f"state has shape {psi.shape}, expected ({walk.space.m},)")
     planes = walk.frame.planes
     block = np.empty((2 * walk.space.m, 1))
     block[planes, 0] = psi.real, psi.imag
@@ -520,9 +517,7 @@ class TransitionTable:
         return float(self.weights[self.space.index[tuple(target)]])
 
 
-def finite_time_average(
-    walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIME_STEPS
-) -> TransitionTable:
+def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIME_STEPS) -> TransitionTable:
     """Average the transition weights over times ``1..time_steps``."""
     if time_steps < 1:
         raise InvalidParameterError("time_steps must be >= 1")
@@ -534,16 +529,11 @@ def finite_time_average(
         mass += _row_mass(psi)
     total = np.bincount(component.source, mass, minlength=len(space.active))
     mean = total / (time_steps * d_source * space.degrees)
-    return TransitionTable(
-        source=sx,
-        estimator=f"finite(T={time_steps})",
-        weights=mean,
-        # a step's real 2k-term coin products round a unit state by about
-        # k**1.5 eps (k: largest coin); at T = 100 on karate the state error
-        # against dense powers stays about 1,000 times below this sum
-        error=time_steps * float(space.degrees.max()) ** 1.5 * _EPS,
-        space=space,
-    )
+    # a step's real 2k-term coin products round a unit state by about
+    # k**1.5 eps (k: largest coin); at T = 100 on karate the state error
+    # against dense powers stays about 1,000 times below this sum
+    error = time_steps * float(space.degrees.max()) ** 1.5 * _EPS
+    return TransitionTable(sx, f"finite(T={time_steps})", mean, error, space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,28 +572,50 @@ def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
     within ``tol`` of the last group's highest across 2*pi, the last group is
     merged in front of the first.
     """
-    order = np.argsort(phases)
-    groups = np.split(order, np.flatnonzero(np.diff(phases[order]) > tol) + 1) if len(order) else []
+    order = np.argsort(phases).tolist()
+    cuts = (np.flatnonzero(np.diff(phases[order]) > tol) + 1).tolist()
+    groups = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(order)])] if order else []
     if len(groups) > 1 and phases[groups[0][0]] + 2 * np.pi - phases[groups[-1][-1]] <= tol:
-        groups[0] = np.concatenate([groups.pop(), groups[0]])
-    return tuple(tuple(g.tolist()) for g in groups)
+        groups[0] = groups.pop() + groups[0]
+    return tuple(groups)
 
 
-def _real_eigenvectors(rotated: sp.csr_matrix) -> np.ndarray:
-    """Real orthonormal eigenvectors of a complex symmetric unitary ``h + i k``:
-    eigenvectors of ``h`` (cos phi), separated by ``k`` (sin phi) inside
-    clusters of near-equal cos phi."""
-    import scipy.linalg  # only the spectral estimator pays for loading it
+def _reverse_arc_entries(space: WalkSpace, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``row * m + col`` and values of the entries of ``e^{i alpha} M``.
+    Coin entry ``C[a, b]`` of a source block is ``U[reverse[a], b]``; with p
+    the pair of a and q that of b, W puts ``(1, i s_b, -i s_r, s_r s_b) / 2``
+    times it at rows ``2p + (0, 0, 1, 1)`` and columns ``2q + (0, 1, 0, 1)``
+    (s: +1 on a pair's first arc, -1 on its second; r is ``reverse[a]``)."""
+    m, degrees = space.m, space.degrees
+    pair = np.empty(m, dtype=np.int64)
+    pair[pairs] = np.arange(m // 2)
+    sign = np.where(np.arange(m) < space.reverse, 1.0, -1.0)
+    blocks = [np.add.outer(space.indptr[:-1][degrees == k], np.arange(k)) for k in np.unique(degrees).tolist()]
+    a = np.concatenate([np.repeat(block, block.shape[1], axis=1).ravel() for block in blocks])
+    b = np.concatenate([np.tile(block, block.shape[1]).ravel() for block in blocks])
+    z = np.concatenate([np.tile(fourier_block(block.shape[1]).ravel(), len(block)) for block in blocks])
+    z *= np.exp(1j * _ALPHA) / 2
+    s_r, s_b, corner = -sign[a], sign[b], 2 * pair[a] * m + 2 * pair[b]
+    flat = corner + np.array([[0], [1], [m], [m + 1]])
+    return flat.ravel(), np.stack([z, 1j * s_b * z, -1j * s_r * z, s_r * s_b * z]).ravel()
 
-    h, k = rotated.real, rotated.imag
+
+def _real_eigenvectors(m: int, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Real orthonormal eigenvectors of the m x m complex symmetric unitary
+    ``h + i k`` with entries ``values`` at ``row * m + col``: those of the dense
+    ``h`` (cos phi), separated by ``k`` (sin phi) in clusters of near-equal cos phi."""
     try:
-        cos, basis = scipy.linalg.eigh(h.toarray(order="F"), overwrite_a=True, check_finite=False)
+        cos, basis = np.linalg.eigh(np.bincount(flat, values.real, minlength=m * m).reshape(m, m))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigh of the step operator failed: {exc}") from None
-    for cluster in np.split(np.arange(len(cos)), np.flatnonzero(np.diff(cos) > _CLUSTER_GAP) + 1):
-        if len(cluster) > 1:
-            sub = basis[:, cluster]
-            basis[:, cluster] = sub @ scipy.linalg.eigh(sub.T @ (k @ sub))[1]
+    rows, cols = np.divmod(flat, m)
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(cos) > _CLUSTER_GAP) + 1, [m]])
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        if hi - lo > 1:
+            sub = basis[:, lo:hi]
+            k_sub = np.stack([np.bincount(rows, values.imag * column[cols], minlength=m)
+                              for column in sub.T], axis=1)
+            basis[:, lo:hi] = sub @ np.linalg.eigh(sub.T @ k_sub)[1]
     return basis
 
 
@@ -624,8 +636,8 @@ def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
     sign[rows[1, 1]] = conj_sign[rows[1]] = swap_sign[rows[0, 1]] = -1.0
     eigenvalues, residuals = np.empty(m, dtype=np.complex128), np.empty(m)
     with _ONE_BLAS_THREAD:
-        for lo in range(0, m, _CHECK_CHUNK):
-            r = np.ascontiguousarray(basis[:, lo : lo + _CHECK_CHUNK])
+        for lo in range(0, m, _CHUNK):
+            r = np.ascontiguousarray(basis[:, lo : lo + _CHUNK])
             psi = r[pick]
             psi *= sign[:, None]
             coined = np.empty_like(psi)
@@ -638,23 +650,24 @@ def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
             swapped *= swap_sign[:, None]
             real = np.einsum("ij,ij->j", conj, coined) / 2
             imag = np.einsum("ij,ij->j", swapped, coined) / 2
-            eigenvalues[lo : lo + _CHECK_CHUNK] = real + 1j * imag
+            eigenvalues[lo : lo + _CHUNK] = real + 1j * imag
             conj *= real
             swapped *= imag
             coined -= conj
             coined -= swapped
-            residuals[lo : lo + _CHECK_CHUNK] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
+            residuals[lo : lo + _CHUNK] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
     return eigenvalues, residuals
 
 
 def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
     """Entries ``G_x[i, j]`` of every group's Gram matrices, one column per
     (i, j) in the group: with ``z = sym + i anti``, arc a of a pair adds
-    ``conj(z_i) z_j / 2`` to its source's entry and arc b the conjugate."""
-    import scipy.sparse as sp
-
-    pair, shape = np.arange(pairs.shape[1]), (len(space.active), pairs.shape[1])
-    at_a, at_b = (sp.csr_matrix((np.ones(shape[1]), (space.source[p], pair)), shape) for p in pairs)
+    ``conj(z_i) z_j / 2`` to its source's entry and arc b the conjugate, so
+    the real part sums over both arcs' sources and the imaginary part takes
+    their difference."""
+    plus, minus = np.zeros((2, len(space.active), pairs.shape[1]))
+    plus[space.source[pairs], np.arange(pairs.shape[1])] = 0.5
+    minus[space.source[pairs], np.arange(pairs.shape[1])] = [[0.5], [-0.5]]
     size = np.fromiter(map(len, groups), np.int64, len(groups))
     flat = np.fromiter(itertools.chain.from_iterable(groups), np.int64, size.sum())
     # entry e of a group g of k members is (i, j) = (g[c], g[r]) with r, c = divmod(e, k)
@@ -663,45 +676,45 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
     r, c = np.divmod(entry, np.repeat(size, square))
     start = np.repeat(np.cumsum(size) - size, square)
     i, j = flat[start + c], flat[start + r]
-    parts = []
-    for lo in range(0, len(i), _CHUNK):
-        ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]
-        x = (basis[0::2, ii] - 1j * basis[1::2, ii]) * (basis[0::2, jj] + 1j * basis[1::2, jj])
-        parts.append((at_a @ x + at_b @ x.conj()) / 2)
-    return np.hstack(parts)
+    # a diagonal entry G_x[i, i] is real, so chunks of them skip the imaginary product
+    masses = np.zeros((len(i), len(space.active)), dtype=np.complex128)
+    vectors = np.ascontiguousarray(basis.T)
+    with _ONE_BLAS_THREAD:
+        for lo in range(0, len(i), _CHUNK):
+            ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]
+            sym_i, anti_i, sym_j, anti_j = vectors[ii, 0::2], vectors[ii, 1::2], vectors[jj, 0::2], vectors[jj, 1::2]
+            masses.real[lo : lo + _CHUNK] = (sym_i * sym_j + anti_i * anti_j) @ plus.T
+            if (ii != jj).any():
+                masses.imag[lo : lo + _CHUNK] = (sym_i * anti_j - anti_i * sym_j) @ minus.T
+    return masses.T
 
 
 def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     """Spectral decomposition of the step operator from one real symmetric
     ``eigh`` in the reverse-arc basis (module docstring).  Raises
-    NoAdjacencyError on a walk without arcs, and NumericalError when that
-    matrix and its eigenvectors (``16 m**2`` bytes) exceed physical memory,
-    or a residual exceeds ``RESIDUAL_TOL``."""
-    # both before the spectrum's first array: with scipy.linalg loaded later,
-    # between the sparse step and the eigh, the peak RSS of a fresh karate
-    # n = 1 spectrum rose by 2.4 MB
-    import scipy.linalg  # noqa: F401  (read by _real_eigenvectors)
-    import scipy.sparse as sp
-
+    NoAdjacencyError on a walk without arcs, and NumericalError when the
+    ``eigh``'s peak (H, LAPACK's copy, its ``2 m**2`` workspace and the
+    eigenvectors: ``40 m**2`` bytes) exceeds physical memory, when an
+    allocation fails anyway, or when a residual exceeds ``RESIDUAL_TOL``."""
     m = walk.space.m
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {walk.space.n}")
-    need, have = 16 * m * m, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need, have = 40 * m * m, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise NumericalError(f"the spectrum of {m} arcs needs {need / 2**30:.1f} GiB, "
                              f"more than the {have / 2**30:.1f} GiB of physical memory")
     first = np.flatnonzero(np.arange(m) < walk.space.reverse)
     pairs = np.stack([first, walk.space.reverse[first]])
-    columns = (np.tile(pairs.T, 2).ravel(), np.repeat(np.arange(m), 2))
-    w = sp.csr_matrix((np.tile([1, 1, 1j, -1j], m // 2) / np.sqrt(2), columns), (m, m))
-    rotated = (np.exp(1j * _ALPHA) * (w.conj().T @ walk.step @ w)).tocsr()
-    basis = _real_eigenvectors(rotated)
-    eigenvalues, residuals = _coin_eigenpairs(walk, pairs, basis)
-    if residuals.max() > RESIDUAL_TOL:
-        raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
-    phases = np.mod(np.angle(eigenvalues), 2 * np.pi)
-    groups = _group_phases(phases, DEFAULT_PHASE_TOL)
-    masses = _group_masses(walk.space, pairs, basis, groups)
+    try:
+        basis = _real_eigenvectors(m, *_reverse_arc_entries(walk.space, pairs))
+        eigenvalues, residuals = _coin_eigenpairs(walk, pairs, basis)
+        if residuals.max() > RESIDUAL_TOL:
+            raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
+        phases = np.mod(np.angle(eigenvalues), 2 * np.pi)
+        groups = _group_phases(phases, DEFAULT_PHASE_TOL)
+        masses = _group_masses(walk.space, pairs, basis, groups)
+    except MemoryError:
+        raise NumericalError(f"the spectrum of {m} arcs ran out of memory") from None
     return UnitarySpectrum(phases, groups, basis, pairs, masses, residuals.max() + m * _EPS)
 
 
@@ -720,13 +733,7 @@ def long_time_average_spectral(
     ix = space.index[sx]
     with _ONE_BLAS_THREAD:
         weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
-    return TransitionTable(
-        source=sx,
-        estimator="spectral",
-        weights=weights,
-        error=spec.error,
-        space=space,
-    )
+    return TransitionTable(sx, "spectral", weights, spec.error, space)
 
 
 def amplitude_lower_bound(

@@ -12,8 +12,10 @@ Hodge Laplacians from dense boundary matrices built by face enumeration
 instead of the library's sparse incidence matrices, and the spectrum of the
 step operator from a dense complex Schur form with per-seed group projectors
 instead of a real symmetric ``eigh`` in the reverse-arc basis with one
-all-seed product, phase groups by a walk over the sorted phases instead of
-one cut of their gaps, and recruitment by a test of one candidate at a time
+all-seed product, the reverse-arc operator from sparse products with the
+step matrix instead of coin entries placed on pairs of reverse-arc
+columns, phase groups by a walk over the sorted phases instead of one cut
+of their gaps, and recruitment by a test of one candidate at a time
 instead of one mask over the weight array.
 """
 
@@ -225,6 +227,16 @@ def group_phases(phases, tol):
     if len(groups) > 1 and phases[groups[0][0]] + 2 * np.pi - phases[groups[-1][-1]] <= tol:
         groups[0] = groups.pop() + groups[0]
     return tuple(tuple(g) for g in groups)
+
+
+def reverse_arc_operator(walk, pairs):
+    """``W^dagger U W`` as a sparse product with the sparse step, W's columns
+    ``(e_a + e_b)/sqrt(2)`` and ``i(e_a - e_b)/sqrt(2)`` for each arc pair
+    (a, b) of ``pairs``."""
+    m = walk.space.m
+    columns = (np.tile(pairs.T, 2).ravel(), np.repeat(np.arange(m), 2))
+    w = sp.csr_matrix((np.tile([1, 1, 1j, -1j], m // 2) / np.sqrt(2), columns), (m, m))
+    return (w.conj().T @ walk.step @ w).tocsr()
 
 
 def unitary_spectrum_schur(walk, phase_tol=1e-8):

@@ -5,8 +5,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse as sp
 
 from simqwalk import (
     InvalidParameterError,
@@ -818,7 +816,7 @@ def test_cluster_separation_splits_colliding_phases():
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     phi = np.array([0.7, -0.7, 0.2, 1.9, -2.5, 3.0])
     dense = (q * np.exp(1j * phi)) @ q.T
-    basis = _real_eigenvectors(sp.csr_matrix(dense))
+    basis = _real_eigenvectors(6, np.arange(36), dense.ravel())
     eigenvalues = np.einsum("ij,ij->j", basis, dense @ basis)
     residuals = np.linalg.norm(dense @ basis - basis * eigenvalues, axis=0)
     assert residuals.max() < 1e-12
@@ -837,6 +835,43 @@ def _dense_reverse_arc_operator(walk, pairs):
         w[[a, b], 2 * p] = 1 / np.sqrt(2)
         w[[a, b], 2 * p + 1] = 1j / np.sqrt(2), -1j / np.sqrt(2)
     return w.conj().T @ walk.step.toarray() @ w
+
+
+def _arc_pairs(space):
+    first = [a for a in range(space.m) if a < space.reverse[a]]
+    return np.array([first, space.reverse[first]])
+
+
+def _check_reverse_arc_entries(walk):
+    """``Re`` and ``Im`` of ``e^{i alpha} W^dagger U W`` from the library's
+    coin-block entries against the dense and the sparse products."""
+    m, pairs = walk.space.m, _arc_pairs(walk.space)
+    flat, values = walk_module._reverse_arc_entries(walk.space, pairs)
+    assert "step" not in vars(walk)  # the entries need no sparse step
+    h = np.bincount(flat, values.real, minlength=m * m).reshape(m, m)
+    k = np.bincount(flat, values.imag, minlength=m * m).reshape(m, m)
+    rotation = np.exp(1j * walk_module._ALPHA)
+    for reference in (_dense_reverse_arc_operator(walk, pairs),
+                      oracles.reverse_arc_operator(walk, pairs).toarray()):
+        assert np.abs(h - (rotation * reference).real).max() <= 1e-15
+        assert np.abs(k - (rotation * reference).imag).max() <= 1e-15
+    assert np.array_equal(h, h.T) and np.array_equal(k, k.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reverse_arc_entries_match_dense_operator_on_karate(karate, n):
+    _check_reverse_arc_entries(walk_on(karate, n))
+
+
+def test_reverse_arc_entries_match_dense_operator_on_random_complexes():
+    checked = 0
+    for seed in range(1, 21):
+        K = random_clique_complex(seed)
+        for n in range(1, K.max_dim + 1):
+            if K.arc_count(n):
+                _check_reverse_arc_entries(walk_on(K, n))
+                checked += 1
+    assert checked >= 40
 
 
 def _check_coin_eigenpairs(walk, pairs, basis):
@@ -877,16 +912,29 @@ def test_large_residual_is_a_numerical_error(karate, monkeypatch):
         unitary_spectrum(walk_on(karate, 2))
 
 
-def test_memory_guard_refuses_dense_spectrum(karate_walk_n1, monkeypatch):
-    # 16 m**2 bytes for m = 1056 arcs is 17.8 MB: report 17 MiB of memory
-    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 17 * 256}
+def _fake_memory(monkeypatch, mib):
+    """Report ``mib`` MiB of physical memory and fail any dense work."""
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": mib * 256}
     monkeypatch.setattr(walk_module.os, "sysconf", memory.get)
 
     def no_dense(*args, **kwargs):
-        raise AssertionError("dense work started before the memory check")
+        raise AssertionError("dense work started")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    monkeypatch.setattr(walk_module, "_reverse_arc_entries", no_dense)
+
+
+def test_memory_guard_refuses_dense_spectrum(karate_walk_n1, monkeypatch):
+    # the eigh peaks at 40 m**2 bytes, 44.6 MB (42.5 MiB) for m = 1056 arcs;
+    # H and its eigenvectors alone (16 m**2) would fit in 42 MiB
+    _fake_memory(monkeypatch, 42)
     with pytest.raises(NumericalError, match="physical memory"):
+        unitary_spectrum(karate_walk_n1)
+
+
+def test_memory_guard_admits_a_spectrum_that_fits(karate_walk_n1, monkeypatch):
+    _fake_memory(monkeypatch, 43)
+    with pytest.raises(AssertionError, match="dense work started"):
         unitary_spectrum(karate_walk_n1)
 
 
