@@ -8,13 +8,12 @@ positions into them; it builds the tuples, boundary matrices, adjacency,
 degrees and lower neighborhoods that the other layers read on first use.
 
 The constructor finds the row of every face of every simplex (the face
-ranks).  Lower and upper adjacency are CSR ``(indptr, indices)`` arrays made
-straight from them: the simplices that share a face, or the faces of one
-coface, form a group, and every ordered pair of distinct members of a group
-is an entry.  Components, lower neighborhoods, arc counts, upper degrees and
-the walk space read these arrays, so none of them needs ``scipy``;
-``scipy.sparse`` is imported only by :meth:`SimplicialComplex.adjacency` and
-:meth:`SimplicialComplex.boundary_matrix`, which return sparse matrices.
+ranks), the CSR arrays of ``B_nᵀ`` as they stand.  One exact int64 product
+of CSR arrays, :func:`_product`, makes from them the Gram matrices ``B_nᵀB_n``
+and ``B_{n+1}B_{n+1}ᵀ``, whose off-diagonal entries are lower and upper
+adjacency, and the chain products that :mod:`simqwalk.hodge` checks.  No path
+needs ``scipy``: ``scipy.sparse`` is imported only to return sparse matrices,
+by :meth:`SimplicialComplex.adjacency` and :meth:`~SimplicialComplex.boundary_matrix`.
 
 All integer matrices are exact: no floating point enters this module.
 """
@@ -22,7 +21,7 @@ All integer matrices are exact: no floating point enters this module.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -101,6 +100,38 @@ def _positions(simplices_by_dim: Mapping[int, Iterable[Sequence[int]]]):
     return np.array(values, dtype=object), cells, shown
 
 
+def _cached(method):
+    """Keep a method's result per argument list: a complex never changes."""
+    @wraps(method)
+    def cached(self, *args, **kwargs):
+        key = (method.__name__, *args, *kwargs.items())
+        if key not in self._cache:
+            self._cache[key] = method(self, *args, **kwargs)
+        return self._cache[key]
+
+    return cached
+
+
+def _product(a, b, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact int64 product of CSR matrices ``(indptr, indices, data)``, ``b``
+    with ``width`` columns: one ``np.sort`` of the terms ``a[i, j]·b[j, k]``,
+    each packed with its key ``i·width + k`` into one int64 (which the keys
+    times the range of the terms must fit), groups them to be summed.  The
+    result has sorted indices and stores no zero."""
+    (a_ptr, a_col, a_val), (b_ptr, b_col, b_val) = a, b
+    count = np.diff(b_ptr)[a_col]
+    at = np.repeat(b_ptr[a_col] - np.cumsum(count) + count, count) + np.arange(count.sum())
+    val = np.repeat(a_val, count) * b_val[at]
+    low = val.min(initial=0)
+    span = val.max(initial=0) - low + 1
+    row = np.repeat(np.repeat(np.arange(len(a_ptr) - 1), np.diff(a_ptr)), count)
+    key, val = np.divmod(np.sort((row * width + b_col[at]) * span + val - low), span)
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    val = np.add.reduceat(val + low, first)
+    key, val = key[first][val != 0], val[val != 0]
+    return np.searchsorted(key, np.arange(len(a_ptr)) * width), key % width, val
+
+
 class SimplicialComplex:
     """An immutable simplicial complex, closed under taking faces.
 
@@ -140,11 +171,7 @@ class SimplicialComplex:
                 raise InvalidParameterError(
                     f"complex not closed under faces: {s[:k] + s[k + 1:]} of {s} missing")
             self._faces[n], self._keys[n] = rank, rank[:, 0] * len(ids) + cells[:, -1]
-        # lazy caches, keyed by dimension (and flavor)
-        self._tuples, self._boundary, self._lower_nbrs = {}, {}, {}
-        self._arrays: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-        self._adjacency: dict[tuple[int, str], sp.csr_matrix] = {}
-        self._components: dict[tuple[int, str], np.ndarray] = {}
+        self._cache: dict[tuple, object] = {}  # see _cached
 
     def _rank(self, rows: np.ndarray) -> np.ndarray:
         """Row of each simplex, given as vertex positions, within its dimension;
@@ -175,11 +202,10 @@ class SimplicialComplex:
         """Number of simplices per dimension."""
         return {n: len(c) for n, c in self._cells.items()}
 
+    @_cached
     def simplices(self, n: int) -> tuple[Simplex, ...]:
         """The n-simplices in canonical order (empty tuple if none).  Cached."""
-        if n not in self._tuples and n in self._cells:
-            self._tuples[n] = tuple(map(tuple, self._ids[self._cells[n]].tolist()))
-        return self._tuples.get(n, ())
+        return tuple(map(tuple, self._ids[self._cells[n]].tolist())) if n in self._cells else ()
 
     def num_simplices(self, n: int) -> int:
         return len(self._cells.get(n, ()))
@@ -207,6 +233,24 @@ class SimplicialComplex:
 
     # -- boundary / incidence ----------------------------------------------
 
+    @_cached
+    def _signed_faces(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices, data)`` of ``B_nᵀ``, int64: row i holds the
+        face ranks of n-simplex i, the face without vertex k signed ``(-1)**k``
+        (no rows above the top dimension).  Cached."""
+        rank = self._faces.get(n, np.zeros((0, n + 1), dtype=np.int64))
+        signs = np.tile((-1) ** np.arange(n, -1, -1), len(rank))
+        return np.arange(0, rank.size + 1, n + 1), rank.ravel(), signs
+
+    @_cached
+    def _boundary_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR arrays of ``B_n``, the transpose of :meth:`_signed_faces`.  Cached."""
+        _, faces, signs = self._signed_faces(n)
+        order = np.argsort(faces, kind="stable")
+        bounds = np.searchsorted(faces[order], np.arange(self.num_simplices(n - 1) + 1))
+        return bounds, order // (n + 1), signs[order]
+
+    @_cached
     def boundary_matrix(self, n: int) -> sp.csc_matrix:
         """Signed incidence matrix of the boundary map on n-simplices.
 
@@ -217,46 +261,33 @@ class SimplicialComplex:
         import scipy.sparse as sp
 
         self._require_dim(n, low=1)
-        if n not in self._boundary:
-            # the face rows found when the complex was checked; column f drops vertex n - f
-            rank = self._faces[n]
-            signs = np.tile((-1) ** np.arange(n, -1, -1), len(rank))
-            bounds = np.arange(0, rank.size + 1, n + 1)
-            self._boundary[n] = sp.csc_matrix(
-                (signs, rank.ravel(), bounds), shape=(self.num_simplices(n - 1), len(rank)))
-        return self._boundary[n]
+        indptr, indices, data = self._signed_faces(n)
+        size = (self.num_simplices(n - 1), self.num_simplices(n))
+        return sp.csc_matrix((data, indices, indptr), shape=size)
 
-    # -- adjacency ----------------------------------------------------------
-
-    def _adjacency_arrays(self, n: int, flavor: str) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)`` of ``adjacency(n, flavor)``, int64, from
-        the face ranks.  Lower: the n-simplices that share a face form a
-        group.  Upper: the n-faces of one (n+1)-simplex do.  Every ordered
-        pair of distinct members of a group is an entry, and two simplices
-        share at most one face and at most one coface, so no pair repeats.
-        Cached per dimension and flavor."""
+    @_cached
+    def _gram(self, n: int, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR arrays of the down Laplacian ``B_nᵀB_n`` (lower) or the up
+        Laplacian ``B_{n+1}B_{n+1}ᵀ`` (upper).  Cached per dimension and flavor."""
         if flavor not in ("upper", "lower"):
             raise InvalidParameterError(f"unknown adjacency flavor {flavor!r}")
         self._require_dim(n, low=1 if flavor == "lower" else 0)
-        key = (n, flavor)
-        if key not in self._arrays:
-            if flavor == "lower":
-                face = self._faces[n].ravel()
-                member = np.argsort(face, kind="stable") // (n + 1)
-                count = np.bincount(face, minlength=self.num_simplices(n - 1))
-            else:
-                member = self._faces[n + 1].ravel() if n < self.max_dim else np.zeros(0, np.int64)
-                count = np.full(len(member) // (n + 2), n + 2)
-            # member e of a group of k starting at s pairs with members s..s + k - 1
-            size = np.repeat(count, count)
-            first = np.repeat(np.repeat(np.cumsum(count) - count, count), size)
-            rows = np.repeat(member, size)
-            cols = member[first + np.arange(len(rows)) - np.repeat(np.cumsum(size) - size, size)]
-            total = self.num_simplices(n)
-            pairs = np.sort((rows * total + cols)[rows != cols])
-            self._arrays[key] = (np.searchsorted(pairs, np.arange(total + 1) * total), pairs % total)
-        return self._arrays[key]
+        if flavor == "lower":
+            return _product(self._signed_faces(n), self._boundary_arrays(n), self.num_simplices(n))
+        return _product(self._boundary_arrays(n + 1), self._signed_faces(n + 1), self.num_simplices(n))
 
+    # -- adjacency ----------------------------------------------------------
+
+    @_cached
+    def _adjacency_arrays(self, n: int, flavor: str) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of ``adjacency(n, flavor)``: the Gram's
+        off-diagonal entries, each ±1, as two simplices share at most one face
+        and at most one coface.  Cached per dimension and flavor."""
+        indptr, indices, _ = self._gram(n, flavor)
+        off = indices != np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        return np.append(0, np.cumsum(off))[indptr], indices[off]
+
+    @_cached
     def adjacency(self, n: int, flavor: str) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency among n-simplices, as CSR with sorted indices.
 
@@ -271,46 +302,36 @@ class SimplicialComplex:
         import scipy.sparse as sp
 
         indptr, indices = self._adjacency_arrays(n, flavor)
-        key = (n, flavor)
-        if key not in self._adjacency:
-            size = self.num_simplices(n)
-            data = np.ones(len(indices), dtype=np.int64)
-            self._adjacency[key] = sp.csr_matrix((data, indices, indptr), shape=(size, size))
-        return self._adjacency[key]
+        data = np.ones(len(indices), dtype=np.int64)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.num_simplices(n),) * 2)
 
+    @_cached
     def components(self, n: int, flavor: str) -> np.ndarray:
         """Connected components of ``adjacency(n, flavor)``: every n-simplex is
         labelled with the position of its component's first simplex.  Found by
         traversal of the CSR arrays; cached per dimension and flavor."""
-        key = (n, flavor)
-        if key not in self._components:
-            bounds, indices = (a.tolist() for a in self._adjacency_arrays(n, flavor))
-            labels = [-1] * (len(bounds) - 1)
-            for root in range(len(labels)):
-                if labels[root] < 0:
-                    labels[root], stack = root, [root]
-                    while stack:
-                        i = stack.pop()
-                        for j in indices[bounds[i] : bounds[i + 1]]:
-                            if labels[j] < 0:
-                                labels[j] = root
-                                stack.append(j)
-            self._components[key] = np.array(labels, dtype=np.int64)
-        return self._components[key]
+        bounds, indices = (a.tolist() for a in self._adjacency_arrays(n, flavor))
+        labels = [-1] * (len(bounds) - 1)
+        for root in range(len(labels)):
+            if labels[root] < 0:
+                labels[root], stack = root, [root]
+                while stack:
+                    i = stack.pop()
+                    for j in indices[bounds[i] : bounds[i + 1]]:
+                        if labels[j] < 0:
+                            labels[j] = root
+                            stack.append(j)
+        return np.array(labels, dtype=np.int64)
 
+    @_cached
     def lower_neighbors(self, n: int) -> dict[Simplex, tuple[Simplex, ...]]:
         """Every n-simplex mapped to the tuple of n-simplices it shares an
         (n-1)-face with, in canonical order (empty if isolated).  A cached
         view of the lower adjacency."""
-        self._require_dim(n, low=1)
-        if n not in self._lower_nbrs:
-            bounds, indices = (a.tolist() for a in self._adjacency_arrays(n, "lower"))
-            group = self.simplices(n)
-            targets = [group[j] for j in indices]
-            self._lower_nbrs[n] = {
-                s: tuple(targets[bounds[i] : bounds[i + 1]]) for i, s in enumerate(group)
-            }
-        return self._lower_nbrs[n]
+        bounds, indices = (a.tolist() for a in self._adjacency_arrays(n, "lower"))
+        group = self.simplices(n)
+        targets = [group[j] for j in indices]
+        return {s: tuple(targets[bounds[i] : bounds[i + 1]]) for i, s in enumerate(group)}
 
     def lower_neighborhood(self, simplex: Sequence[int]) -> set[Simplex]:
         """The set of simplices lower-adjacent to ``simplex`` (may be empty)."""
@@ -330,11 +351,9 @@ class SimplicialComplex:
         """Upper degree (number of cofaces) or lower degree (= dim+1)."""
         s = self._require(simplex)
         n, i = self._index[s]
-        if flavor == "upper":
-            # each coface adds its n + 1 other n-faces as upper neighbors, and
-            # two cofaces share no n-face but ``s``
-            bounds = self._adjacency_arrays(n, "upper")[0]
-            return int(bounds[i + 1] - bounds[i]) // (n + 1)
+        if flavor == "upper":  # the row of ``s`` in B_{n+1} holds its cofaces
+            bounds = self._boundary_arrays(n + 1)[0]
+            return int(bounds[i + 1] - bounds[i])
         if flavor == "lower":
             if n < 1:
                 raise InvalidParameterError("lower degree is undefined for vertices")

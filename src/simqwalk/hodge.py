@@ -2,20 +2,19 @@
 
 For n-simplices the up-Laplacian is ``B_{n+1} @ B_{n+1}.T`` and the
 down-Laplacian is ``B_n.T @ B_n``, with ``B_n`` the signed incidence matrix
-of the boundary map.  Both are sparse CSR int64 Gram matrices here, so the
-algebraic identities (boundary-of-boundary zero, up*down = down*up = 0) are
-checked exactly on sparse products.  Only :func:`laplacian_spectrum`
-densifies, and never the Laplacian itself: by the Hodge decomposition
-``C_n = im B_nᵀ ⊕ ker L_n ⊕ im B_{n+1}`` its nonzero spectrum is that of
-the two boundary matrices' Gram blocks, each taken per component of the
-face–coface incidence and on that component's smaller side.
+of the boundary map.  Both are the complex's Gram arrays, made by one exact
+int64 product of CSR arrays, and the same product checks the identities
+(boundary-of-boundary zero, up*down = down*up = 0) exactly.  Only
+:func:`laplacian_spectrum` densifies, and never the Laplacian itself: by the
+Hodge decomposition ``C_n = im B_nᵀ ⊕ ker L_n ⊕ im B_{n+1}`` its nonzero
+spectrum is that of the two Gram matrices' blocks, each taken per component
+of the face–coface incidence and on that component's smaller side.
 
 The dimension of the Laplacian kernel counts the n-dimensional holes of the
 complex, which is what :func:`betti_number` reports.
 
-``scipy.sparse`` is imported by the functions that make sparse matrices
-(:func:`hodge_laplacian`, :func:`laplacian_spectrum`), not with the module,
-so a program that imports the package and never calls them does not load it.
+The module needs numpy alone.  ``scipy.sparse`` is imported only by
+:func:`hodge_laplacian`, which returns sparse matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _product
 from .errors import InvalidParameterError, NumericalError
 
 if TYPE_CHECKING:
@@ -86,7 +85,7 @@ class SpectrumReport:
 
 
 def hodge_laplacian(K: SimplicialComplex, n: int) -> HodgeLaplacian:
-    """Hodge Laplacian of the n-simplices of ``K``.
+    """Hodge Laplacian of the n-simplices of ``K``, over its Gram arrays.
 
     The up part has no entries when dimension n+1 is empty.  Raises
     InvalidParameterError for n outside ``[0, K.max_dim]``.
@@ -95,30 +94,32 @@ def hodge_laplacian(K: SimplicialComplex, n: int) -> HodgeLaplacian:
 
     if not 0 <= n <= K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
-    empty = sp.csc_matrix((K.num_simplices(n), 0), dtype=np.int64)
-    b_up = K.boundary_matrix(n + 1) if n < K.max_dim else empty
-    up = (b_up @ b_up.T).tocsr()
-    b = K.boundary_matrix(n) if n else None
-    return HodgeLaplacian(n=n, up=up, down=None if b is None else (b.T @ b).tocsr())
+
+    def matrix(flavor):
+        indptr, indices, data = K._gram(n, flavor)
+        return sp.csr_matrix((data, indices, indptr), shape=(K.num_simplices(n),) * 2)
+
+    return HodgeLaplacian(n=n, up=matrix("upper"), down=matrix("lower") if n else None)
 
 
 def verify_chain_identities(K: SimplicialComplex, n: int) -> ChainIdentityReport:
     """Check B_n @ B_{n+1} = 0 and the up/down Laplacian annihilation exactly.
 
-    Identities involving an empty dimension hold trivially and are reported
-    as true.  Sparse products are tested with ``count_nonzero``, not ``nnz``,
-    since a sparse product may store explicit zeros.  Every flag of the
-    report is a Python ``bool``, never a numpy scalar, so the report
-    serializes as it stands.
+    Each identity holds when its exact integer product stores no entry;
+    ``up·down`` is taken as ``(up·B_nᵀ)·B_n`` and ``down·up`` as ``B_nᵀ(B_n·up)``,
+    which expand far fewer terms than the two Laplacians' product.  Identities
+    involving an empty dimension hold trivially.  Every flag is a Python
+    ``bool``, so the report serializes as it stands.
     """
     if not 0 <= n <= K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
-    product = K.boundary_matrix(n) @ K.boundary_matrix(n + 1) if 1 <= n < K.max_dim else None
-    boundary_zero = product is None or product.count_nonzero() == 0
-    lap = hodge_laplacian(K, n)
-    up_down = lap.down is None or (lap.up @ lap.down).count_nonzero() == 0
-    down_up = lap.down is None or (lap.down @ lap.up).count_nonzero() == 0
-    return ChainIdentityReport(n, bool(boundary_zero), bool(up_down), bool(down_up))
+    if n == 0:
+        return ChainIdentityReport(n, True, True, True)
+    size, faces, up = K.num_simplices(n), K._signed_faces(n), K._gram(n, "upper")
+    products = (_product(K._signed_faces(n + 1), faces, K.num_simplices(n - 1)),  # (B_n B_{n+1})ᵀ
+                _product(_product(up, faces, K.num_simplices(n - 1)), K._boundary_arrays(n), size),
+                _product(faces, _product(K._boundary_arrays(n), up, size), size))
+    return ChainIdentityReport(n, *(len(indices) == 0 for _, indices, _ in products))
 
 
 def laplacian_spectrum(
@@ -136,26 +137,28 @@ def laplacian_spectrum(
     With ``N_n`` zeros added, the largest ``N_n`` values are the spectrum: no
     rank is decided.  Raises InvalidParameterError for n outside
     ``[0, K.max_dim]``."""
-    import scipy.sparse as sp
-
     if not 0 < kernel_tol < np.inf:
         raise InvalidParameterError(f"kernel_tol must be positive and finite, got {kernel_tol}")
     if not 0 <= n <= K.max_dim:
         raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
-    grams, labels, offset = [], [], 0
+    # the kept Gram entries, numbered by their place among all kept simplices
+    entries, labels, offset = [], [], 0
     for dim in range(max(n, 1), min(n + 1, K.max_dim) + 1):
-        b = K.boundary_matrix(dim)
         face = K.components(dim - 1, "upper")
-        coface, count = face[b.indices[b.indptr[:-1]]], len(face)
+        coface, count = face[K._faces[dim][:, 0]], len(face)
         on_faces = np.bincount(face, minlength=count) <= np.bincount(coface, minlength=count)
-        rows, cols = on_faces[face], ~on_faces[coface]
-        faces, cofaces = b.tocsr()[rows], b[:, cols]
-        grams += [faces @ faces.T, cofaces.T @ cofaces]
-        labels += [face[rows] + offset, coface[cols] + offset]
+        for label, keep, gram in ((face, on_faces[face], (dim - 1, "upper")),
+                                  (coface, ~on_faces[coface], (dim, "lower"))):
+            if keep.any():  # a side that keeps no block needs no Gram
+                indptr, indices, values = K._gram(*gram)
+                row = np.repeat(np.arange(len(keep)), np.diff(indptr))
+                entry, place = keep[row], np.cumsum(keep) - 1 + sum(map(len, labels))
+                entries.append((place[row[entry]], place[indices[entry]], values[entry]))
+                labels.append(label[keep] + offset)
         offset += count
     parts = [np.zeros(K.num_simplices(n))]
-    if grams:
-        gram, labels = sp.block_diag(grams, format="coo"), np.concatenate(labels)
+    if labels:
+        labels, (row, col, data) = np.concatenate(labels), map(np.concatenate, zip(*entries))
         size = np.bincount(labels)[labels]
         # rows ordered by (block size, block), each block in canonical order;
         # a row is then row ``at`` of block ``which`` in its size's stack
@@ -163,11 +166,9 @@ def laplacian_spectrum(
         which, at = np.divmod(np.argsort(order) - np.searchsorted(size[order], size), size)
         try:
             for k in np.unique(size).tolist():
-                entry = size[gram.row] == k
-                row, col = gram.row[entry], gram.col[entry]
+                entry = size[row] == k
                 stack = np.zeros((np.count_nonzero(size == k) // k, k, k))
-                stack[which[row], at[row], at[col]] = gram.data[entry]
-                del entry, row, col
+                stack[which[row[entry]], at[row[entry]], at[col[entry]]] = data[entry]
                 parts.append(np.linalg.eigvalsh(stack).ravel())
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
             raise NumericalError(f"eigendecomposition failed at dimension {n}") from exc

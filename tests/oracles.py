@@ -4,19 +4,19 @@ Everything here is deliberately written against different machinery than the
 implementation under test: cliques come from testing every vertex subset
 instead of extending sorted rows by neighbour lists, adjacency from direct
 vertex-set overlap or from the off-diagonal support of the unsigned boundary
-Gram matrix instead of grouping the face ranks into pairs, evolution
-from dense matrix powers instead of the batched degree-class kernel,
-components from union-find instead of a traversal of the sparse adjacency,
-modularity from a dense modularity matrix instead of per-community counts,
-Hodge Laplacians from dense boundary matrices built by face enumeration
-instead of the library's sparse incidence matrices, and the spectrum of the
-step operator from a dense complex Schur form with per-seed group projectors
-instead of a real symmetric ``eigh`` in the reverse-arc basis with one
-all-seed product, the reverse-arc operator from sparse products with the
-step matrix instead of coin entries placed on pairs of reverse-arc
-columns, phase groups by a walk over the sorted phases instead of one cut
-of their gaps, and recruitment by a test of one candidate at a time
-instead of one mask over the weight array.
+Gram matrix, a scipy product, instead of the library's own numpy product of
+its face-rank arrays, evolution from dense matrix powers instead of the
+batched degree-class kernel, components from union-find instead of a
+traversal of the sparse adjacency, modularity from a dense modularity matrix
+instead of per-community counts, Hodge Laplacians from dense boundary
+matrices built by face enumeration instead of that numpy product, and the
+spectrum of the step operator from a dense complex Schur form with per-seed
+group projectors instead of a real symmetric ``eigh`` in the reverse-arc
+basis with one all-seed product, the reverse-arc operator from sparse
+products with the step matrix instead of coin entries placed on pairs of
+reverse-arc columns, phase groups by a walk over the sorted phases instead
+of one cut of their gaps, and recruitment by a test of one candidate at a
+time instead of one mask over the weight array.
 """
 
 import itertools

@@ -165,12 +165,15 @@ loaded = [sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]
 import simqwalk.cli
 
 for argv in commands:
-    if argv[0] == "modularity":
-        argv = argv + ["--partition", str(work / "part.json")]
-    assert simqwalk.cli.main(argv + [str(edges), "--output", str(work / "out.json")]) == 0
-    if argv[0] == "detect" and "finite" in argv:
-        communities = json.loads((work / "out.json").read_text())["communities"]
-        (work / "part.json").write_text(json.dumps({"communities": communities}))
+    if isinstance(argv, str):  # a library call
+        exec(argv, {"simqwalk": simqwalk})
+    else:
+        if argv[0] == "modularity":
+            argv = argv + ["--partition", str(work / "part.json")]
+        assert simqwalk.cli.main(argv + [str(edges), "--output", str(work / "out.json")]) == 0
+        if argv[0] == "detect" and "finite" in argv:
+            communities = json.loads((work / "out.json").read_text())["communities"]
+            (work / "part.json").write_text(json.dumps({"communities": communities}))
     loaded.append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 print(json.dumps(loaded))
 """
@@ -178,7 +181,8 @@ print(json.dumps(loaded))
 
 def _scipy_modules(edges_file, work, commands):
     """The scipy modules loaded in a fresh interpreter after ``import
-    simqwalk`` and after each CLI command, run in turn."""
+    simqwalk`` and after each command, run in turn: a CLI argv list, or a
+    string of Python run with ``simqwalk`` in scope."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", _LOADS_SCIPY, str(edges_file), str(work),
                            json.dumps(commands)], env=env, capture_output=True, text=True, timeout=120)
@@ -186,32 +190,25 @@ def _scipy_modules(edges_file, work, commands):
     return json.loads(done.stdout)
 
 
-def test_scipy_loads_only_where_a_sparse_matrix_is_made(edges_file, tmp_path):
-    # numpy alone: the package, build, both estimators and modularity
-    numpy_only = [["build"], ["detect", "--dim", "2", "--method", "finite", "--time-steps", "5"],
-                  ["walk", "--dim", "2", "--source", "1,2,3", "--time-steps", "5"],
-                  ["modularity", "--dim", "2"], ["detect", "--dim", "2", "--method", "spectral"],
-                  ["walk", "--dim", "2", "--source", "1,2,3", "--method", "spectral"]]
-    assert _scipy_modules(edges_file, tmp_path, numpy_only) == [[]] * (len(numpy_only) + 1)
-    # each in a fresh interpreter, as scipy once loaded stays loaded
-    for command in (["spectrum", "--dim", "1"], ["verify", "--dim", "2"]):
-        before, after = _scipy_modules(edges_file, tmp_path, [command])
-        assert before == [] and "scipy.sparse" in after, command
-
-
-def test_no_command_loads_scipy_linalg(edges_file, tmp_path):
-    commands = [["build"], ["detect", "--dim", "1", "--method", "finite", "--time-steps", "5"],
-                ["detect", "--dim", "1", "--method", "spectral"], ["modularity", "--dim", "1"],
-                ["walk", "--dim", "3", "--source", "1,2,3,4", "--method", "spectral"],
-                ["walk", "--dim", "3", "--source", "1,2,3,4", "--time-steps", "5"],
-                ["spectrum", "--dim", "1"], ["verify", "--dim", "2"]]
-    loaded = _scipy_modules(edges_file, tmp_path, commands)
-    assert "scipy.sparse" in loaded[-1]
-    assert not any(name.startswith("scipy.linalg") for name in loaded[-1])
+def test_no_command_loads_scipy(edges_file, tmp_path):
+    # the package and every command run on numpy alone
+    commands = [["build"], *(["spectrum", "--dim", str(n)] for n in range(3)),
+                ["verify", "--dim", "1"], ["verify", "--dim", "2"],
+                ["detect", "--dim", "2", "--method", "finite", "--time-steps", "5"],
+                ["modularity", "--dim", "2"], ["detect", "--dim", "2", "--method", "spectral"],
+                ["walk", "--dim", "2", "--source", "1,2,3", "--time-steps", "5"],
+                ["walk", "--dim", "2", "--source", "1,2,3", "--method", "spectral"]]
+    assert _scipy_modules(edges_file, tmp_path, commands) == [[]] * (len(commands) + 1)
+    # the public sparse builders load scipy.sparse on first use, each in a
+    # fresh interpreter, as scipy once loaded stays loaded
+    for call in ("simqwalk.karate_club_complex().boundary_matrix(1)",
+                 "simqwalk.hodge_laplacian(simqwalk.karate_club_complex(), 1)"):
+        before, after = _scipy_modules(edges_file, tmp_path, [call])
+        assert before == [] and "scipy.sparse" in after, call
 
 
 def test_verify_reports_identities(edges_file, tmp_path):
-    # 1 <= n < max_dim multiplies two boundary matrices (scipy count_nonzero)
+    # 1 <= n < max_dim multiplies two boundary matrices
     flags = ["boundary_product_zero", "up_down_zero", "down_up_zero", "all_hold"]
     for n in ("1", "2"):
         code, text = run_cli(["verify", "--dim", n, str(edges_file)], tmp_path / "v.json")
@@ -444,6 +441,14 @@ def test_karate_walk_matches_goldens(edges_file, capsys, n, source):
     argv = ["walk", "--dim", str(n), "--source", source, "--method", "finite",
             "--time-steps", "100", "--format", "json", str(edges_file)]
     assert main(argv) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_karate_hodge_matches_goldens(edges_file, capsys, n, command):
+    golden = ROOT / "tests" / "golden" / f"karate_{command}_n{n}.json"
+    assert main([command, "--dim", str(n), str(edges_file)]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

@@ -59,9 +59,13 @@ def test_laplacian_nonzero_pattern(karate):
         assert ((off != 0) == ((lower == 1) & (upper == 0))).all()
 
 
-@pytest.mark.parametrize("name", ["karate", "bowtie", "two_edges", "hollow_triangle"])
+@pytest.mark.parametrize("name", ["karate", "bowtie", "two_edges", "hollow_triangle",
+                                  *(f"random-{seed}" for seed in range(8))])
 def test_laplacian_matches_dense_oracle(request, name):
-    K = request.getfixturevalue(name)
+    if name.startswith("random-"):
+        K = random_clique_complex(int(name[7:]))
+    else:
+        K = request.getfixturevalue(name)
     for n in range(K.max_dim + 1):
         lap = hodge_laplacian(K, n)
         up, down, total = oracles.laplacian_dense(K, n)
@@ -76,11 +80,14 @@ def test_laplacian_matches_dense_oracle(request, name):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_unsigned_boundaries_break_chain_identities(monkeypatch, n):
-    # with |B| in place of B nothing cancels, so a check that cannot fail shows
+def test_unsigned_boundaries_break_chain_identities(n):
+    # with |B| in place of B nothing cancels, so a check that cannot fail shows;
+    # the face signs are made unsigned in place on a fresh complex, before any
+    # transpose, Gram or product has read them
     K = karate_club_complex()
-    signed = K.boundary_matrix
-    monkeypatch.setattr(K, "boundary_matrix", lambda dim: abs(signed(dim)))
+    for dim in range(1, K.max_dim + 2):
+        signs = K._signed_faces(dim)[2]
+        signs[:] = 1
     report = verify_chain_identities(K, n)
     for flag in ("boundary_product_zero", "up_down_zero", "down_up_zero"):
         assert getattr(report, flag) is False, flag  # a Python bool, and False
@@ -93,6 +100,10 @@ def test_chain_identities_karate(karate, n):
     # Python bools, not numpy scalars, so callers can serialize the report
     for flag in ("boundary_product_zero", "up_down_zero", "down_up_zero", "all_hold"):
         assert type(getattr(report, flag)) is bool, flag
+    for seed in range(40):
+        K = random_clique_complex(seed)
+        if n <= K.max_dim:
+            assert verify_chain_identities(K, n).all_hold, seed
 
 
 def test_chain_identities_trivial_on_path(path_complex):
