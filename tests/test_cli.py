@@ -190,8 +190,8 @@ def _scipy_modules(edges_file, work, commands):
     return json.loads(done.stdout)
 
 
-def test_no_command_loads_scipy(edges_file, tmp_path):
-    # the package and every command run on numpy alone
+def test_scipy_loads_only_where_a_sparse_matrix_is_made(edges_file, tmp_path):
+    # numpy alone: the package and every command
     commands = [["build"], *(["spectrum", "--dim", str(n)] for n in range(3)),
                 ["verify", "--dim", "1"], ["verify", "--dim", "2"],
                 ["detect", "--dim", "2", "--method", "finite", "--time-steps", "5"],
@@ -205,6 +205,16 @@ def test_no_command_loads_scipy(edges_file, tmp_path):
                  "simqwalk.hodge_laplacian(simqwalk.karate_club_complex(), 1)"):
         before, after = _scipy_modules(edges_file, tmp_path, [call])
         assert before == [] and "scipy.sparse" in after, call
+
+
+def test_no_command_loads_scipy_linalg(edges_file, tmp_path):
+    # no scipy module at all, scipy.linalg included, on dims 1 and 3 too
+    commands = [["build"], ["detect", "--dim", "1", "--method", "finite", "--time-steps", "5"],
+                ["detect", "--dim", "1", "--method", "spectral"], ["modularity", "--dim", "1"],
+                ["walk", "--dim", "3", "--source", "1,2,3,4", "--method", "spectral"],
+                ["walk", "--dim", "3", "--source", "1,2,3,4", "--time-steps", "5"],
+                ["spectrum", "--dim", "1"], ["verify", "--dim", "2"]]
+    assert _scipy_modules(edges_file, tmp_path, commands) == [[]] * (len(commands) + 1)
 
 
 def test_verify_reports_identities(edges_file, tmp_path):
