@@ -94,15 +94,13 @@ def exact_down_communities(K: SimplicialComplex, n: int) -> CommunityPartition:
 
     Isolated simplices come out as singleton communities.
     """
-    if n < 1:
-        raise InvalidParameterError("down communities are defined for n >= 1")
+    n = K._require_dim(n, low=1, too_low="down communities are defined for n >= 1")
     return CommunityPartition(n=n, communities=_components(K, n, "lower"))
 
 
 def exact_up_communities(K: SimplicialComplex, n: int) -> CommunityPartition:
     """Connected components of upper adjacency among n-simplices (n >= 0)."""
-    if not 0 <= n <= K.max_dim:
-        raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
+    n = K._require_dim(n)
     return CommunityPartition(n=n, communities=_components(K, n, "upper"))
 
 
@@ -122,7 +120,8 @@ class SymmetryReport:
 
 def verify_symmetry(K: SimplicialComplex, n: int) -> SymmetryReport:
     """Check the down/up community correspondence across dimensions n+1 and n."""
-    if not 0 <= n < K.max_dim or not K.simplices(n + 1):
+    n = K._require_dim(n)
+    if not K.simplices(n + 1):
         raise InvalidParameterError(f"dimension {n + 1} of the complex is empty")
     down = exact_down_communities(K, n + 1)
     up = exact_up_communities(K, n)
@@ -189,8 +188,7 @@ def simplicial_modularity(K: SimplicialComplex, n: int, partition) -> Modularity
 
     Raises NoAdjacencyError when ``m`` is zero.
     """
-    if n < 1:
-        raise InvalidParameterError("modularity is defined for n >= 1")
+    n = K._require_dim(n, low=1, too_low="modularity is defined for n >= 1")
     part = _normalize_partition(K, n, partition)
     labels = part.labels
     internal = [0] * len(part.communities)
@@ -267,4 +265,4 @@ def detect_communities(
         unassigned &= ~members
         communities.append(tuple(space.active[i] for i in np.flatnonzero(members).tolist()))
     communities.extend((s,) for s in space.isolated)
-    return CommunityPartition(n=n, communities=tuple(communities))
+    return CommunityPartition(n=space.n, communities=tuple(communities))

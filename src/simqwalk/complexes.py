@@ -225,11 +225,17 @@ class SimplicialComplex:
             raise UnknownSimplexError(f"{s} is not a {n}-simplex of the complex")
         return s
 
-    def _require_dim(self, n: int, low: int = 0) -> None:
+    def _require_dim(self, n: int, low: int = 0, too_low: str | None = None) -> int:
+        """``n`` as an int, if it is an integral dimension in ``[low, max_dim]``
+        (integral floats are, booleans are not); ``too_low``, if given, is the
+        message for ``n < low``."""
+        if not _integral(n):
+            raise InvalidParameterError(f"dimension must be an integer, got {n!r}")
+        if n < low and too_low is not None:
+            raise InvalidParameterError(too_low)
         if not low <= n <= self.max_dim:
-            raise InvalidParameterError(
-                f"dimension {n} out of range [{low}, {self.max_dim}]"
-            )
+            raise InvalidParameterError(f"dimension {int(n)} out of range [{low}, {self.max_dim}]")
+        return int(n)
 
     # -- boundary / incidence ----------------------------------------------
 

@@ -88,12 +88,11 @@ def hodge_laplacian(K: SimplicialComplex, n: int) -> HodgeLaplacian:
     """Hodge Laplacian of the n-simplices of ``K``, over its Gram arrays.
 
     The up part has no entries when dimension n+1 is empty.  Raises
-    InvalidParameterError for n outside ``[0, K.max_dim]``.
+    InvalidParameterError unless n is an integer in ``[0, K.max_dim]``.
     """
     import scipy.sparse as sp
 
-    if not 0 <= n <= K.max_dim:
-        raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
+    n = K._require_dim(n)
 
     def matrix(flavor):
         indptr, indices, data = K._gram(n, flavor)
@@ -111,8 +110,7 @@ def verify_chain_identities(K: SimplicialComplex, n: int) -> ChainIdentityReport
     involving an empty dimension hold trivially.  Every flag is a Python
     ``bool``, so the report serializes as it stands.
     """
-    if not 0 <= n <= K.max_dim:
-        raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
+    n = K._require_dim(n)
     if n == 0:
         return ChainIdentityReport(n, True, True, True)
     size, faces, up = K.num_simplices(n), K._signed_faces(n), K._gram(n, "upper")
@@ -135,12 +133,11 @@ def laplacian_spectrum(
     so each block is densified on its side with fewer simplices (the faces on
     a tie), and the blocks of each size go through one batched ``eigvalsh``.
     With ``N_n`` zeros added, the largest ``N_n`` values are the spectrum: no
-    rank is decided.  Raises InvalidParameterError for n outside
-    ``[0, K.max_dim]``."""
+    rank is decided.  Raises InvalidParameterError unless n is an integer
+    in ``[0, K.max_dim]``."""
     if not 0 < kernel_tol < np.inf:
         raise InvalidParameterError(f"kernel_tol must be positive and finite, got {kernel_tol}")
-    if not 0 <= n <= K.max_dim:
-        raise InvalidParameterError(f"dimension {n} out of range [0, {K.max_dim}]")
+    n = K._require_dim(n)
     # the kept Gram entries, numbered by their place among all kept simplices
     entries, labels, offset = [], [], 0
     for dim in range(max(n, 1), min(n + 1, K.max_dim) + 1):

@@ -38,23 +38,20 @@ mass ``(r_p**2 + r_q**2)/2`` on both arcs of its pair, so every group's
 per-simplex Gram matrix ``G_x`` comes from real vectors and every seed's
 weights from one product, ``sum_g tr(G_x G_y)``.
 
-The walk's own BLAS products (the coin's matmuls in evolution and in the
-check, the group masses and the spectral average's row product) run with
-numpy's OpenBLAS pool held at one thread and the previous count restored
-after: they are small and many, and a second thread only adds hand-offs
-that stall when cores are shared.  The ``eigh``, LAPACK's divide-and-conquer
-``syevd`` through numpy, keeps the pool's threads.  Both estimators run on
-numpy alone; ``scipy.sparse`` is loaded only by the sparse coin, shift and step.
+Every BLAS product of the walk (the coin's matmuls, the group masses, the
+spectral average's row product and the ``eigh``, LAPACK's divide-and-conquer
+``syevd``) runs on numpy's OpenBLAS pool as the process configured it, so
+``OPENBLAS_NUM_THREADS`` caps its threads; the walk never sets a thread
+count.  Both estimators run on numpy alone; ``scipy.sparse`` is loaded only
+by the sparse coin, shift and step.
 """
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import os
-import threading
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -179,10 +176,7 @@ class WalkSpace:
 
 def build_walk_space(K: SimplicialComplex, n: int) -> WalkSpace:
     """Construct the arc basis for the walk on n-simplices (n >= 1)."""
-    if n < 1:
-        raise InvalidParameterError("the walk is defined for dimensions n >= 1")
-    if n > K.max_dim:
-        raise InvalidParameterError(f"dimension {n} out of range [1, {K.max_dim}]")
+    n = K._require_dim(n, low=1, too_low="the walk is defined for dimensions n >= 1")
     indptr, indices = K._adjacency_arrays(n, "lower")
     group = K.simplices(n)
     # Isolated simplices have empty rows; dropping them leaves the arcs as
@@ -350,62 +344,6 @@ def basis_state(walk: UnitaryWalk, source, target) -> np.ndarray:
     return psi
 
 
-@cache
-def _openblas_thread_calls():
-    """numpy's OpenBLAS thread-count getter and setter, found through the
-    handle of numpy's core extension, or None if it exports no such pair."""
-    try:
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except (ImportError, OSError):
-        return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-        try:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-class _OneBlasThread:
-    """Holds numpy's OpenBLAS pool at one thread while any scope is open.
-
-    The first scope to open saves the count and the last to close restores
-    it, so scopes nest and may open in several threads at once.  Without
-    both thread calls the scope does nothing.  No scope encloses the
-    spectral estimator's ``eigh``, which runs on the same pool with all its
-    threads.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            calls = _openblas_thread_calls()
-            if self._depth == 0 and calls is not None:
-                self._saved = calls[0]()
-                calls[1](1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            calls = _openblas_thread_calls()
-            if self._depth == 0 and calls is not None:
-                calls[1](self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-
-
 def _coin_views(classes, psi: np.ndarray, coined: np.ndarray) -> list:
     """Per degree class of a component: its planar coin and the
     ``(2k, count * d)`` views of the class in planar ``psi`` and ``coined``."""
@@ -420,15 +358,14 @@ def _evolution(component: _Component, psi: np.ndarray, t_max: int):
     overwritten by the next step."""
     coined = np.empty_like(psi)
     views = _coin_views(component.classes, psi, coined)
-    with _ONE_BLAS_THREAD:
-        for _ in range(t_max):
-            for coin, state, out in views:
-                np.matmul(coin, state, out=out)
-            # the indices are a permutation, so no index is ever clipped; in
-            # the default mode numpy would copy through a buffer instead of
-            # writing straight into psi
-            np.take(coined, component.shift, axis=0, out=psi, mode="clip")
-            yield psi
+    for _ in range(t_max):
+        for coin, state, out in views:
+            np.matmul(coin, state, out=out)
+        # the indices are a permutation, so no index is ever clipped; in
+        # the default mode numpy would copy through a buffer instead of
+        # writing straight into psi
+        np.take(coined, component.shift, axis=0, out=psi, mode="clip")
+        yield psi
 
 
 def _row_mass(psi: np.ndarray) -> np.ndarray:
@@ -635,27 +572,26 @@ def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
     sign, conj_sign, swap_sign = np.ones(2 * m), np.ones(2 * m), np.ones(2 * m)
     sign[rows[1, 1]] = conj_sign[rows[1]] = swap_sign[rows[0, 1]] = -1.0
     eigenvalues, residuals = np.empty(m, dtype=np.complex128), np.empty(m)
-    with _ONE_BLAS_THREAD:
-        for lo in range(0, m, _CHUNK):
-            r = np.ascontiguousarray(basis[:, lo : lo + _CHUNK])
-            psi = r[pick]
-            psi *= sign[:, None]
-            coined = np.empty_like(psi)
-            for component in frame.components:
-                own = component.planar
-                for coin, state, out in _coin_views(component.classes, psi[own], coined[own]):
-                    np.matmul(coin, state, out=out)
-            conj, swapped = psi, r[pick ^ 1]
-            conj *= conj_sign[:, None]
-            swapped *= swap_sign[:, None]
-            real = np.einsum("ij,ij->j", conj, coined) / 2
-            imag = np.einsum("ij,ij->j", swapped, coined) / 2
-            eigenvalues[lo : lo + _CHUNK] = real + 1j * imag
-            conj *= real
-            swapped *= imag
-            coined -= conj
-            coined -= swapped
-            residuals[lo : lo + _CHUNK] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
+    for lo in range(0, m, _CHUNK):
+        r = np.ascontiguousarray(basis[:, lo : lo + _CHUNK])
+        psi = r[pick]
+        psi *= sign[:, None]
+        coined = np.empty_like(psi)
+        for component in frame.components:
+            own = component.planar
+            for coin, state, out in _coin_views(component.classes, psi[own], coined[own]):
+                np.matmul(coin, state, out=out)
+        conj, swapped = psi, r[pick ^ 1]
+        conj *= conj_sign[:, None]
+        swapped *= swap_sign[:, None]
+        real = np.einsum("ij,ij->j", conj, coined) / 2
+        imag = np.einsum("ij,ij->j", swapped, coined) / 2
+        eigenvalues[lo : lo + _CHUNK] = real + 1j * imag
+        conj *= real
+        swapped *= imag
+        coined -= conj
+        coined -= swapped
+        residuals[lo : lo + _CHUNK] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
     return eigenvalues, residuals
 
 
@@ -679,13 +615,12 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
     # a diagonal entry G_x[i, i] is real, so chunks of them skip the imaginary product
     masses = np.zeros((len(i), len(space.active)), dtype=np.complex128)
     vectors = np.ascontiguousarray(basis.T)
-    with _ONE_BLAS_THREAD:
-        for lo in range(0, len(i), _CHUNK):
-            ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]
-            sym_i, anti_i, sym_j, anti_j = vectors[ii, 0::2], vectors[ii, 1::2], vectors[jj, 0::2], vectors[jj, 1::2]
-            masses.real[lo : lo + _CHUNK] = (sym_i * sym_j + anti_i * anti_j) @ plus.T
-            if (ii != jj).any():
-                masses.imag[lo : lo + _CHUNK] = (sym_i * anti_j - anti_i * sym_j) @ minus.T
+    for lo in range(0, len(i), _CHUNK):
+        ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]
+        sym_i, anti_i, sym_j, anti_j = vectors[ii, 0::2], vectors[ii, 1::2], vectors[jj, 0::2], vectors[jj, 1::2]
+        masses.real[lo : lo + _CHUNK] = (sym_i * sym_j + anti_i * anti_j) @ plus.T
+        if (ii != jj).any():
+            masses.imag[lo : lo + _CHUNK] = (sym_i * anti_j - anti_i * sym_j) @ minus.T
     return masses.T
 
 
@@ -731,8 +666,7 @@ def long_time_average_spectral(
     sx = space.require_active(source)
     spec = spectrum if spectrum is not None else unitary_spectrum(walk)
     ix = space.index[sx]
-    with _ONE_BLAS_THREAD:
-        weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
+    weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
     return TransitionTable(sx, "spectral", weights, spec.error, space)
 
 

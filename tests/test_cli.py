@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 import simqwalk.walk
 from simqwalk import karate_club_edges
-from simqwalk.cli import _json_text, main
+from simqwalk.cli import _build_parser, _json_text, main
 
 from reference_karate import TRIANGLE_COMMUNITIES
 
@@ -329,6 +330,43 @@ def test_bad_flag_exits_1(edges_file):
     assert exc.value.code == 1
 
 
+_CLI_CALLS = """
+import contextlib, hashlib, io, json, sys
+import simqwalk.cli
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = simqwalk.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))])
+print(json.dumps(results))
+"""
+
+
+def _cli_calls(commands, **env):
+    """Exit code and SHA-256 of stdout and of stderr of each CLI argv, run in
+    turn in one fresh interpreter with ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
+    done = subprocess.run([sys.executable, "-c", _CLI_CALLS, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_one_parser_serves_every_call_after_a_bad_flag(edges_file):
+    assert _build_parser() is _build_parser()
+    bad = ["detect", "--dim", "2", "--method", "bogus", str(edges_file)]
+    build = ["build", str(edges_file)]
+    detect = ["detect", "--dim", "2", "--time-steps", "5", str(edges_file)]
+    together = _cli_calls([bad, build, detect])
+    assert [code for code, *_ in together] == [1, 0, 0]
+    assert together == _cli_calls([bad]) + _cli_calls([build]) + _cli_calls([detect])
+
+
 def test_dot_only_for_detect(edges_file, capsys):
     assert main(["build", "--format", "dot", str(edges_file)]) == 1
     capsys.readouterr()
@@ -444,14 +482,38 @@ def test_karate_detect_geq_matches_goldens(edges_file, capsys, n, method):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+_WALK_SOURCES = [(1, "33,34"), (2, "1,2,3"), (3, "1,2,3,4"), (4, "1,2,3,4,8")]
+
+
+def _walk_argv(n, source, edges_file):
+    return ["walk", "--dim", str(n), "--source", source, "--method", "finite",
+            "--time-steps", "100", "--format", "json", str(edges_file)]
+
+
 # the spectral walk is left out: its exact zeros print BLAS rounding noise
-@pytest.mark.parametrize("n, source", [(1, "33,34"), (2, "1,2,3"), (3, "1,2,3,4"), (4, "1,2,3,4,8")])
+@pytest.mark.parametrize("n, source", _WALK_SOURCES)
 def test_karate_walk_matches_goldens(edges_file, capsys, n, source):
     golden = ROOT / "tests" / "golden" / f"karate_walk_n{n}_finite.json"
-    argv = ["walk", "--dim", str(n), "--source", source, "--method", "finite",
-            "--time-steps", "100", "--format", "json", str(edges_file)]
-    assert main(argv) == 0
+    assert main(_walk_argv(n, source, edges_file)) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(edges_file):
+    # the spectral walk is left out: its exact zeros print the eigh's
+    # rounding, which changes with the number of threads LAPACK splits it over
+    commands, goldens = [], []
+    for n in range(1, 5):
+        for method in ("finite", "spectral"):
+            commands.append(["detect", "--dim", str(n), "--method", method,
+                             "--time-steps", "100", str(edges_file)])
+            goldens.append(ROOT / "bench" / "golden" / f"karate_detect_n{n}_{method}.json")
+    for n, source in _WALK_SOURCES:
+        commands.append(_walk_argv(n, source, edges_file))
+        goldens.append(ROOT / "tests" / "golden" / f"karate_walk_n{n}_finite.json")
+    empty = hashlib.sha256(b"").hexdigest()
+    expected = [[0, hashlib.sha256(golden.read_bytes()).hexdigest(), empty] for golden in goldens]
+    assert _cli_calls(commands, OPENBLAS_NUM_THREADS="1") == expected
+    assert _cli_calls(commands, OPENBLAS_NUM_THREADS="2") == expected
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

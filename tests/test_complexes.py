@@ -12,16 +12,25 @@ from simqwalk import (
     InvalidParameterError,
     SimplicialComplex,
     UnknownSimplexError,
+    build_walk_space,
     canonical_simplex,
     clique_complex,
+    detect_communities,
+    exact_down_communities,
+    exact_up_communities,
     faces,
+    hodge_laplacian,
     karate_club_complex,
     karate_club_edges,
+    laplacian_spectrum,
     parse_edge_lines,
+    simplicial_modularity,
+    verify_chain_identities,
+    verify_symmetry,
 )
 
 import oracles
-from conftest import random_clique_complex
+from conftest import K4_EDGES, random_clique_complex
 
 
 def test_canonical_simplex_sorts():
@@ -453,3 +462,30 @@ def test_bundled_karate_edges():
     edges = karate_club_edges()
     assert len(edges) == 78
     assert len({v for e in edges for v in e}) == 34
+
+
+# -- dimension arguments ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    laplacian_spectrum,
+    verify_chain_identities,
+    hodge_laplacian,
+    exact_down_communities,
+    exact_up_communities,
+    lambda K, n: simplicial_modularity(K, n, [K.simplices(2)]),
+    build_walk_space,
+    detect_communities,
+    verify_symmetry,
+], ids=["spectrum", "verify", "hodge_laplacian", "down", "up", "modularity", "walk_space", "detect",
+        "symmetry"])
+def test_every_dimension_argument_is_checked_alike(call):
+    K = clique_complex(K4_EDGES)
+    for bad in (1.5, True, False, "2", None, np.float64("nan"), np.inf):
+        with pytest.raises(InvalidParameterError):
+            call(K, bad)
+    with pytest.raises(InvalidParameterError, match=re.escape("dimension 9 out of range [") + "[01], 3\\]$"):
+        call(K, 9)
+    for integral in (2.0, np.int64(2)):
+        n = call(K, integral).n
+        assert n == 2 and type(n) is int

@@ -1,7 +1,6 @@
 import cmath
+import ctypes
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from simqwalk import (
 import simqwalk.cli
 import simqwalk.community
 import simqwalk.walk as walk_module
-from simqwalk.walk import _coin_eigenpairs, _group_phases, _openblas_thread_calls, _real_eigenvectors
+from simqwalk.walk import _coin_eigenpairs, _group_phases, _real_eigenvectors
 
 import oracles
 from conftest import BOWTIE_EDGES, K4_EDGES, random_clique_complex
@@ -335,7 +334,26 @@ def test_evolve_rejects_negative_time(path_complex):
         evolve(walk, basis_state(walk, (1, 2), (2, 3)), -1)
 
 
-# -- BLAS thread scope ------------------------------------------------------------------
+# -- BLAS thread count ------------------------------------------------------------------
+
+
+def _openblas_thread_calls():
+    """numpy's OpenBLAS thread-count getter and setter, found through the
+    handle of numpy's core extension, or None if it exports no such pair."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 @pytest.fixture
@@ -356,34 +374,8 @@ def blas_threads():
         set_(before)
 
 
-def test_blas_scope_restores_count_on_exit_and_on_exception(blas_threads):
-    with walk_module._ONE_BLAS_THREAD:
-        assert blas_threads() == 1
-    assert blas_threads() == 2
-    with pytest.raises(KeyError):
-        with walk_module._ONE_BLAS_THREAD:
-            raise KeyError("inside")
-    assert blas_threads() == 2
-
-
-def test_nested_blas_scopes_restore_the_outer_count(blas_threads):
-    scope = walk_module._ONE_BLAS_THREAD
-    with scope:
-        with scope:
-            assert blas_threads() == 1
-        assert blas_threads() == 1
-    assert blas_threads() == 2
-
-
-def test_blas_scope_restored_when_evolution_is_closed_early(blas_threads, karate_walk_n2):
-    steps = walk_module._source_evolution(karate_walk_n2, karate_walk_n2.space.active[0], 10)[2]
-    next(steps)
-    assert blas_threads() == 1
-    steps.close()
-    assert blas_threads() == 2
-
-
 def test_public_walk_calls_keep_the_blas_count(blas_threads, karate):
+    # the walk runs on the pool as configured and never sets a thread count
     walk = walk_on(karate, 3)
     source, target = walk.space.active[:2]
     spec = unitary_spectrum(walk)
@@ -398,44 +390,6 @@ def test_public_walk_calls_keep_the_blas_count(blas_threads, karate):
     ):
         call()
         assert blas_threads() == 2
-
-
-def test_blas_scopes_in_many_threads_restore_the_count(blas_threads):
-    # more threads than cores, switching often: a lost update of the depth
-    # would leave the pool at one thread or release it inside a scope
-    scope, inside = walk_module._ONE_BLAS_THREAD, []
-
-    def enter_and_leave():
-        for _ in range(200):
-            with scope:
-                inside.append(blas_threads())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=enter_and_leave) for _ in range(6)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert inside == [1] * 1200
-    assert blas_threads() == 2
-
-
-def test_blas_scope_without_thread_calls_does_nothing(blas_threads, karate_walk_n2, monkeypatch):
-    monkeypatch.setattr(walk_module, "_openblas_thread_calls", lambda: None)
-    with walk_module._ONE_BLAS_THREAD:
-        assert blas_threads() == 2
-    steps = walk_module._source_evolution(karate_walk_n2, karate_walk_n2.space.active[0], 5)[2]
-    next(steps)
-    assert blas_threads() == 2
-    steps.close()
-    table = finite_time_average(karate_walk_n2, karate_walk_n2.space.active[0], 5)
-    assert blas_threads() == 2
-    assert table.weights @ karate_walk_n2.space.degrees == pytest.approx(1.0, abs=1e-12)
 
 
 # -- transition probabilities ----------------------------------------------------------
