@@ -59,6 +59,13 @@ def _integral(v) -> bool:
         return False
 
 
+def _dimension(n) -> int:
+    """``n`` as an int, if it is integral (integral floats are, booleans are not)."""
+    if not _integral(n):
+        raise InvalidParameterError(f"dimension must be an integer, got {n!r}")
+    return int(n)
+
+
 def canonical_simplex(vertices: Iterable[int]) -> Simplex:
     """The canonical form of positive (1-indexed) vertex ids given in any
     order: sorted ascending, which doubles as the simplex's orientation.
@@ -202,13 +209,16 @@ class SimplicialComplex:
         """Number of simplices per dimension."""
         return {n: len(c) for n, c in self._cells.items()}
 
-    @_cached
     def simplices(self, n: int) -> tuple[Simplex, ...]:
         """The n-simplices in canonical order (empty tuple if none).  Cached."""
+        return self._simplices(_dimension(n))
+
+    @_cached
+    def _simplices(self, n: int) -> tuple[Simplex, ...]:
         return tuple(map(tuple, self._ids[self._cells[n]].tolist())) if n in self._cells else ()
 
     def num_simplices(self, n: int) -> int:
-        return len(self._cells.get(n, ()))
+        return len(self._cells.get(_dimension(n), ()))
 
     def __contains__(self, simplex: Sequence[int]) -> bool:
         return tuple(simplex) in self._index
@@ -229,13 +239,12 @@ class SimplicialComplex:
         """``n`` as an int, if it is an integral dimension in ``[low, max_dim]``
         (integral floats are, booleans are not); ``too_low``, if given, is the
         message for ``n < low``."""
-        if not _integral(n):
-            raise InvalidParameterError(f"dimension must be an integer, got {n!r}")
+        n = _dimension(n)
         if n < low and too_low is not None:
             raise InvalidParameterError(too_low)
         if not low <= n <= self.max_dim:
-            raise InvalidParameterError(f"dimension {int(n)} out of range [{low}, {self.max_dim}]")
-        return int(n)
+            raise InvalidParameterError(f"dimension {n} out of range [{low}, {self.max_dim}]")
+        return n
 
     # -- boundary / incidence ----------------------------------------------
 

@@ -25,11 +25,14 @@ The coin C is complex symmetric and the shift S a real involution, so
 ``U = S C`` has ``U.T = S U S``.  In the reverse-arc basis W (per arc pair
 {a, b}: ``(e_a + e_b)/sqrt(2)``, ``i(e_a - e_b)/sqrt(2)``) ``M = W^dagger U W``
 is complex symmetric and unitary, so for a generic alpha the real symmetric
-``H = Re(e^{i alpha} M)`` commutes with M: one ``eigh`` of it gives real
+``H = Re(e^{i alpha} M)`` commutes with M: an ``eigh`` of it gives real
 eigenvectors r of M, and ``K = Im(e^{i alpha} M)`` separates phases that
 share a cosine inside clusters of near-equal eigenvalues.  Each coin entry
 lands on the 2 x 2 reverse-arc columns of two pairs, so the dense H is one
-``bincount`` over the coin blocks, with neither W nor the sparse step.
+``bincount`` over the coin blocks, with neither W nor the sparse step.  U
+never leaves a lower-connected component, so H is block diagonal over them:
+one ``eigh`` per component gives a block-diagonal eigenbasis, whose entries
+and weights across two components are exact zeros.
 Every eigenpair is checked through the coin alone: ``psi = W r`` satisfies
 ``S psi = conj(psi)``, so ``r^T M r = psi^T C psi`` and the residual
 ``|C psi - lambda conj(psi)|`` equals ``|Mr - lambda r|``; the check runs
@@ -482,6 +485,7 @@ class UnitarySpectrum:
     ``groups`` clusters eigenvector indices of equal phase (up to a circular
     tolerance).  ``masses @ masses^dagger`` sums ``tr(G_x G_y)`` over groups;
     ``error`` bounds each eigenvector's error: residual plus m roundings.
+    ``space`` is the walk space the spectrum was taken on.
     """
 
     phases: np.ndarray
@@ -490,6 +494,7 @@ class UnitarySpectrum:
     pairs: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
     error: float
+    space: WalkSpace = field(repr=False)
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -518,16 +523,21 @@ def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
 
 
 def _reverse_arc_entries(space: WalkSpace, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``row * m + col`` and values of the entries of ``e^{i alpha} M``.
-    Coin entry ``C[a, b]`` of a source block is ``U[reverse[a], b]``; with p
-    the pair of a and q that of b, W puts ``(1, i s_b, -i s_r, s_r s_b) / 2``
-    times it at rows ``2p + (0, 0, 1, 1)`` and columns ``2q + (0, 1, 0, 1)``
-    (s: +1 on a pair's first arc, -1 on its second; r is ``reverse[a]``)."""
-    m, degrees = space.m, space.degrees
-    pair = np.empty(m, dtype=np.int64)
+    """Positions ``row * m + col`` and values of the entries of ``e^{i alpha} M``
+    on the m reverse-arc columns of the ``m / 2`` arc ``pairs``, which hold
+    every arc of their sources (a union of components).  Coin entry
+    ``C[a, b]`` of a source block is ``U[reverse[a], b]``; with p the pair of
+    a and q that of b, W puts ``(1, i s_b, -i s_r, s_r s_b) / 2`` times it at
+    rows ``2p + (0, 0, 1, 1)`` and columns ``2q + (0, 1, 0, 1)`` (s: +1 on a
+    pair's first arc, -1 on its second; r is ``reverse[a]``)."""
+    m = 2 * pairs.shape[1]
+    pair = np.empty(space.m, dtype=np.int64)
     pair[pairs] = np.arange(m // 2)
-    sign = np.where(np.arange(m) < space.reverse, 1.0, -1.0)
-    blocks = [np.add.outer(space.indptr[:-1][degrees == k], np.arange(k)) for k in np.unique(degrees).tolist()]
+    sign = np.where(np.arange(space.m) < space.reverse, 1.0, -1.0)
+    own = np.zeros(len(space.active), dtype=bool)
+    own[space.source[pairs]] = True
+    starts, degrees = space.indptr[:-1][own], space.degrees[own]
+    blocks = [np.add.outer(starts[degrees == k], np.arange(k)) for k in np.unique(degrees).tolist()]
     a = np.concatenate([np.repeat(block, block.shape[1], axis=1).ravel() for block in blocks])
     b = np.concatenate([np.tile(block, block.shape[1]).ravel() for block in blocks])
     z = np.concatenate([np.tile(fourier_block(block.shape[1]).ravel(), len(block)) for block in blocks])
@@ -626,31 +636,58 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
 
 def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     """Spectral decomposition of the step operator from one real symmetric
-    ``eigh`` in the reverse-arc basis (module docstring).  Raises
-    NoAdjacencyError on a walk without arcs, and NumericalError when the
-    ``eigh``'s peak (H, LAPACK's copy, its ``2 m**2`` workspace and the
-    eigenvectors: ``40 m**2`` bytes) exceeds physical memory, when an
-    allocation fails anyway, or when a residual exceeds ``RESIDUAL_TOL``."""
-    m = walk.space.m
+    ``eigh`` per lower-connected component in the reverse-arc basis (module
+    docstring).  The pairs are sorted stably by component, so ``basis`` is
+    block diagonal; a one-component walk keeps the ``eigh``'s output as it.
+    Raises NoAdjacencyError on a walk without arcs, and NumericalError when
+    the peak exceeds physical memory, when an allocation fails anyway, or
+    when a residual exceeds ``RESIDUAL_TOL``.  With m_c the largest
+    component's arcs, the peak stays below ``16 m**2 + 24 m_c**2`` bytes: an
+    ``eigh`` holds ``40 m_c**2`` (H, LAPACK's copy, its ``2 m_c**2``
+    workspace and the eigenvectors) beside the finished blocks, and the
+    ``8 m**2`` basis is held beside those blocks, then beside its transposed
+    copy in ``_group_masses``."""
+    space, m = walk.space, walk.space.m
     if m == 0:
-        raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {walk.space.n}")
-    need, have = 40 * m * m, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {space.n}")
+    sizes = np.bincount(space.component[space.source])
+    need = 16 * m * m + 24 * int(sizes.max()) ** 2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise NumericalError(f"the spectrum of {m} arcs needs {need / 2**30:.1f} GiB, "
                              f"more than the {have / 2**30:.1f} GiB of physical memory")
-    first = np.flatnonzero(np.arange(m) < walk.space.reverse)
-    pairs = np.stack([first, walk.space.reverse[first]])
+    first = np.flatnonzero(np.arange(m) < space.reverse)
+    first = first[np.argsort(space.component[space.source[first]], kind="stable")]
+    pairs = np.stack([first, space.reverse[first]])
+    cut = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     try:
-        basis = _real_eigenvectors(m, *_reverse_arc_entries(walk.space, pairs))
+        blocks = [_real_eigenvectors(hi - lo, *_reverse_arc_entries(space, pairs[:, lo // 2 : hi // 2]))
+                  for lo, hi in zip(cut, cut[1:])]
+        if len(blocks) == 1:
+            basis = blocks[0]
+        else:
+            basis = np.zeros((m, m))
+            for lo, hi, block in zip(cut, cut[1:], blocks):
+                basis[lo:hi, lo:hi] = block
+        del blocks  # before _group_masses copies the basis
         eigenvalues, residuals = _coin_eigenpairs(walk, pairs, basis)
         if residuals.max() > RESIDUAL_TOL:
             raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
         phases = np.mod(np.angle(eigenvalues), 2 * np.pi)
         groups = _group_phases(phases, DEFAULT_PHASE_TOL)
-        masses = _group_masses(walk.space, pairs, basis, groups)
+        masses = _group_masses(space, pairs, basis, groups)
     except MemoryError:
         raise NumericalError(f"the spectrum of {m} arcs ran out of memory") from None
-    return UnitarySpectrum(phases, groups, basis, pairs, masses, residuals.max() + m * _EPS)
+    return UnitarySpectrum(phases, groups, basis, pairs, masses, residuals.max() + m * _EPS, space)
+
+
+def _spectrum_of(walk: UnitaryWalk, spectrum: UnitarySpectrum | None) -> UnitarySpectrum:
+    """``spectrum``, if it was taken on the walk's space, or the walk's own."""
+    if spectrum is None:
+        return unitary_spectrum(walk)
+    if spectrum.space != walk.space:
+        raise InvalidParameterError(f"the spectrum is of {spectrum.space!r}, not of the walk's {walk.space!r}")
+    return spectrum
 
 
 def long_time_average_spectral(
@@ -664,7 +701,7 @@ def long_time_average_spectral(
     """
     space = walk.space
     sx = space.require_active(source)
-    spec = spectrum if spectrum is not None else unitary_spectrum(walk)
+    spec = _spectrum_of(walk, spectrum)
     ix = space.index[sx]
     weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
     return TransitionTable(sx, "spectral", weights, spec.error, space)
@@ -682,7 +719,7 @@ def amplitude_lower_bound(
     space = walk.space
     bx = space.block(space.require_active(source))
     by = space.block(space.require_active(target))
-    spec = spectrum if spectrum is not None else unitary_spectrum(walk)
+    spec = _spectrum_of(walk, spectrum)
     # <y|v_k><v_k|x> for every eigenvector, summed within each group
     terms = spec.vectors[by].mean(axis=0) * spec.vectors[bx].mean(axis=0).conj()
     return float(sum(abs(terms[list(group)].sum()) ** 2 for group in spec.groups))

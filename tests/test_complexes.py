@@ -489,3 +489,17 @@ def test_every_dimension_argument_is_checked_alike(call):
     for integral in (2.0, np.int64(2)):
         n = call(K, integral).n
         assert n == 2 and type(n) is int
+
+
+@pytest.mark.parametrize("listing", ["simplices", "num_simplices"])
+def test_simplex_listings_check_the_type_of_their_dimension(listing):
+    K = clique_complex(K4_EDGES)
+    call = getattr(K, listing)
+    expected = [call(n) for n in range(K.max_dim + 1)]  # cached before the bad calls
+    for bad in (1.5, True, False, "1", None, np.float64("nan"), np.inf):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"dimension must be an integer, got {bad!r}")):
+            call(bad)
+    for integral in (float, np.int64):
+        assert [call(integral(n)) for n in range(K.max_dim + 1)] == expected
+    # integral dimensions outside [0, max_dim] list nothing
+    assert call(-1) == call(K.max_dim + 1) == call(9.0) == ((), 0)[listing == "num_simplices"]

@@ -495,6 +495,10 @@ def test_each_seed_evolves_exactly_on_its_own_component(karate, case):
     space = walk.space
     assert space.component.max() == 1
     horizon = 6
+    spec = unitary_spectrum(walk)
+    # every eigenvector lives on the reverse-arc rows of one component
+    row_component = np.repeat(space.component[space.source[spec.pairs[0]]], 2)
+    assert all(len(set(row_component[column != 0].tolist())) == 1 for column in spec.basis.T)
     for c in (0, 1):
         outside = space.component != c
         source = space.active[np.flatnonzero(~outside)[0]]
@@ -508,6 +512,11 @@ def test_each_seed_evolves_exactly_on_its_own_component(karate, case):
         for t in range(1, horizon + 1):
             dense = oracles.transition_weights_dense(walk, source, t)
             assert np.abs(profile[t - 1] - [dense[s] for s in space.active]).max() <= table.error
+        spectral = long_time_average_spectral(walk, source, spec).weights
+        assert np.all(spectral[outside] == 0.0) and not np.signbit(spectral[outside]).any()
+        assert spectral[~outside].min() > 0.0
+        target = space.active[np.flatnonzero(outside)[0]]
+        assert amplitude_lower_bound(walk, source, target, spec) == 0.0
     rng = np.random.default_rng(17)
     state = rng.normal(size=space.m) + 1j * rng.normal(size=space.m)
     for t in range(1, 6):
@@ -646,6 +655,22 @@ def test_projector_formula_reduces_when_phases_distinct(filled_triangle):
             assert table[target] == pytest.approx(expected, abs=1e-10)
 
 
+def test_spectrum_of_another_walk_is_refused(karate, karate_walk_n2):
+    # karate n = 3's spectrum with the n = 2 walk: the average used to raise
+    # numpy's shape error and the bound to return a number about n = 3
+    spec = unitary_spectrum(walk_on(karate, 3))
+    source, target = karate_walk_n2.space.active[:2]
+    with pytest.raises(InvalidParameterError, match="spectrum is of WalkSpace\\(n=3"):
+        long_time_average_spectral(karate_walk_n2, source, spec)
+    with pytest.raises(InvalidParameterError, match="spectrum is of WalkSpace\\(n=3"):
+        amplitude_lower_bound(karate_walk_n2, source, target, spec)
+    # a space built again from the same complex is the same walk space
+    again = walk_on(karate, 3)
+    source, target = again.space.active[:2]
+    assert long_time_average_spectral(again, source, spec)[target] > 0.0
+    assert amplitude_lower_bound(again, source, target, spec) >= 0.0
+
+
 def test_finite_converges_to_spectral(bowtie):
     walk = walk_on(bowtie)
     spec = unitary_spectrum(walk)
@@ -720,7 +745,8 @@ def _check_against_schur(walk, spec, sources):
     for source in sources:
         table = long_time_average_spectral(walk, source, spec)
         reference = oracles.projector_weights(walk, source, vectors, groups)
-        # exactly-zero weights come out as rounding noise of order 1e-29
+        # the oracle's exactly-zero weights are rounding noise of order
+        # 1e-29; the library's are exact zeros
         np.testing.assert_allclose(table.weights, reference, rtol=1e-10, atol=1e-25)
         assert table.weights @ space.degrees == pytest.approx(1.0, abs=1e-12)
 
@@ -738,11 +764,29 @@ def test_spectrum_matches_schur_karate(karate, n):
     _check_against_schur(walk, unitary_spectrum(walk), walk.space.active)
 
 
+def _disjoint_union(seed):
+    """Clique complex of two seeded random graphs side by side."""
+    first, second = random_clique_complex(seed), random_clique_complex(seed + 100)
+    edges = list(first.simplices(1)) + [(u + 20, v + 20) for u, v in second.simplices(1)]
+    return clique_complex(edges, max_dim=3)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_spectrum_matches_schur_random_complexes(seed):
     K = random_clique_complex(seed)
     for n in (1, 2):
         if n <= K.max_dim and K.arc_count(n):
+            walk = walk_on(K, n)
+            _check_against_schur(walk, unitary_spectrum(walk), walk.space.active)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4], ids=["bowtie_tetrahedron", "1", "2", "3", "4"])
+def test_spectrum_matches_schur_on_disjoint_unions(seed):
+    # one eigh per component against the oracle's one Schur form of the whole space
+    K = _bowtie_and_tetrahedron() if seed is None else _disjoint_union(seed)
+    assert walk_on(K, 1).space.component.max() >= 1
+    for n in (1, 2):
+        if K.arc_count(n):
             walk = walk_on(K, n)
             _check_against_schur(walk, unitary_spectrum(walk), walk.space.active)
 
@@ -890,6 +934,21 @@ def test_memory_guard_admits_a_spectrum_that_fits(karate_walk_n1, monkeypatch):
     _fake_memory(monkeypatch, 43)
     with pytest.raises(AssertionError, match="dense work started"):
         unitary_spectrum(karate_walk_n1)
+
+
+def test_memory_guard_counts_the_largest_component(monkeypatch):
+    # two karate copies at n = 2: m = 604 arcs, the largest component 292;
+    # 40 m**2 (13.9 MiB) would not fit in 10 MiB, 16 m**2 + 24 * 292**2
+    # (7.5 MiB) does, and does not fit in 7 MiB
+    edges = karate_club_edges()
+    walk = walk_on(clique_complex(edges + [(u + 34, v + 34) for u, v in edges], max_dim=2), 2)
+    assert walk.space.m == 604 and np.bincount(walk.space.component[walk.space.source]).max() == 292
+    _fake_memory(monkeypatch, 10)
+    with pytest.raises(AssertionError, match="dense work started"):
+        unitary_spectrum(walk)
+    _fake_memory(monkeypatch, 7)
+    with pytest.raises(NumericalError, match="physical memory"):
+        unitary_spectrum(walk)
 
 
 def test_spectrum_without_arcs_is_no_adjacency_error(two_edges):
