@@ -108,12 +108,15 @@ def _positions(simplices_by_dim: Mapping[int, Iterable[Sequence[int]]]):
 
 
 def _cached(method):
-    """Keep a method's result per argument list: a complex never changes."""
+    """Keep a method's result per argument list: a complex never changes.
+    The first argument is a dimension, checked and made an int before the
+    lookup, so ``1.0`` shares the entry of ``1`` and ``True`` never hits."""
     @wraps(method)
-    def cached(self, *args, **kwargs):
-        key = (method.__name__, *args, *kwargs.items())
+    def cached(self, n, *args, **kwargs):
+        n = _dimension(n)
+        key = (method.__name__, n, *args, *kwargs.items())
         if key not in self._cache:
-            self._cache[key] = method(self, *args, **kwargs)
+            self._cache[key] = method(self, n, *args, **kwargs)
         return self._cache[key]
 
     return cached

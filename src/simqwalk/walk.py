@@ -45,14 +45,20 @@ Every BLAS product of the walk (the coin's matmuls, the group masses, the
 spectral average's row product and the ``eigh``, LAPACK's divide-and-conquer
 ``syevd``) runs on numpy's OpenBLAS pool as the process configured it, so
 ``OPENBLAS_NUM_THREADS`` caps its threads; the walk never sets a thread
-count.  Both estimators run on numpy alone; ``scipy.sparse`` is loaded only
-by the sparse coin, shift and step.
+count.  A large state is stepped by two Python threads, each on the rows of
+its own degree classes, when the process may run on two CPUs (``_split``);
+each thread runs the very class matmuls, row gathers and row masses the one
+thread would, so the bytes do not depend on the split.  Both estimators run
+on numpy alone; ``scipy.sparse`` is loaded only by the sparse coin, shift
+and step.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import threading
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -98,6 +104,9 @@ _EPS = float(np.finfo(np.float64).eps)
 _ALPHA = 0.5772156649015329  # generic: no rational multiple of pi
 _CLUSTER_GAP = 1e-6  # eigh's vectors are accurate to about eps / gap
 _CHUNK = 32  # columns per block of the eigenpair check and the group masses
+_SPLIT_CELLS = 150_000  # see _split
+_POOL_GEMM = 1_000_000  # see _split
+_ROW_COST = 16  # see _cut
 
 
 @dataclass(frozen=True)
@@ -355,25 +364,165 @@ def _coin_views(classes, psi: np.ndarray, coined: np.ndarray) -> list:
             for part, k, coin in classes]
 
 
-def _evolution(component: _Component, psi: np.ndarray, t_max: int):
-    """Step a planar ``(2 m_c, d)`` state on one component in place
-    ``t_max`` times, yielding it after each step.  The yielded array is
-    overwritten by the next step."""
-    coined = np.empty_like(psi)
-    views = _coin_views(component.classes, psi, coined)
-    for _ in range(t_max):
+def _split(classes, psi: np.ndarray) -> bool:
+    """Whether :func:`_evolution` steps ``psi`` in two halves: when the
+    component has two degree classes or more, the state holds at least
+    ``_SPLIT_CELLS`` cells (planar rows times columns), no class matmul
+    reaches ``_POOL_GEMM`` terms (the product of its three dimensions) and
+    the process may run on two CPUs.
+
+    numpy's OpenBLAS spreads a GEMM of ``_POOL_GEMM`` terms or more over its
+    pool, and two such GEMMs started from two threads ran slower than one
+    after the other: 136 against 112 us for a 30 x 30 by 30 x 1,128
+    product, where two of 990,000 terms took 55 against 91 us.
+
+    The ladder behind both limits: ``finite_time_average`` (T = 100) of one
+    seed on the components of the benchmark's planted-partition graphs,
+    median of 5 alternated runs, one half against two halves, 2-core Xeon
+    VM, numpy's OpenBLAS pool at two threads:
+
+    walk        rows x columns  cells    one -> two (ms)  split
+    P240 n = 2  3,144 x 14      44,016   12 -> 26         no
+    P160 n = 2  4,368 x 19      82,992   23 -> 36         no
+    P240 n = 2  5,500 x 18      99,000   26 -> 32         no
+    P160 n = 2  5,908 x 23      135,884  39 -> 45         no
+    P240 n = 2  7,144 x 25      178,600  75 -> 64         yes
+    P160 n = 2  7,012 x 28      196,336  86 -> 71         yes
+    P100 n = 1  10,600 x 22     233,200  109 -> 78        yes
+    P100 n = 1  10,600 x 24     254,400  125 -> 144       no (a GEMM of 1,015,200 terms)
+    P240 n = 2  15,072 x 24     361,728  122 -> 111       yes
+    P160 n = 1  53,184 x 14     744,576  405 -> 522       no (GEMMs of up to 3.6M terms)
+    """
+    if len(classes) < 2 or psi.size < _SPLIT_CELLS:
+        return False
+    if max(4 * k * (part.stop - part.start) for part, k, _ in classes) * psi.shape[1] >= _POOL_GEMM:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _cut(classes) -> int:
+    """Index of the degree class that starts the second of two halves, chosen
+    so that a step's two phases, each as slow as its slower half, cost the
+    least: a class of ``rows`` rows and degree k costs ``rows * k`` in the
+    matmul phase and ``rows * _ROW_COST`` in the gather and mass phase.
+
+    Measured per planar row on a 2-core Xeon VM at d = 24, the matmuls took
+    about 3 ns per unit of k and the gather and mass 47 to 58 ns, a ratio of
+    17 to 20; on the largest components of P160 and P240 at n = 2 (the
+    benchmark's planted-partition graphs) any ratio from 16 to 24 moves the
+    cut by at most one class."""
+    rows = np.array([part.stop - part.start for part, _, _ in classes])
+    gemm = np.cumsum(rows * [k for _, k, _ in classes])
+    rest = np.cumsum(rows) * _ROW_COST
+    first_gemm, first_rest = gemm[:-1], rest[:-1]
+    cost = np.maximum(first_gemm, gemm[-1] - first_gemm) + np.maximum(first_rest, rest[-1] - first_rest)
+    return int(np.argmin(cost)) + 1
+
+
+def _steps(views, coined, shift, psi, mass, steps: range, sync, record=None) -> int:
+    """One half's part of ``steps``: its class matmuls into the shared
+    ``coined``, ``sync(False)``, the gather of its rows ``psi`` from
+    ``coined`` along ``shift`` and their row mass into ``mass`` (if given),
+    ``sync(True)``, then ``record(t)`` (if given).  Returns the steps done:
+    all, or up to the first at which ``sync(True)`` returned True."""
+    for t in steps:
         for coin, state, out in views:
             np.matmul(coin, state, out=out)
+        sync(False)
         # the indices are a permutation, so no index is ever clipped; in
         # the default mode numpy would copy through a buffer instead of
         # writing straight into psi
-        np.take(coined, component.shift, axis=0, out=psi, mode="clip")
-        yield psi
+        np.take(coined, shift, axis=0, out=psi, mode="clip")
+        if mass is not None:
+            np.einsum("ij,ij->i", psi, psi, out=mass)
+        stop = sync(True)
+        if record is not None:
+            record(t)
+        if stop:
+            return t + 1
+    return steps.stop
 
 
-def _row_mass(psi: np.ndarray) -> np.ndarray:
-    """Squared amplitude on each planar row, summed over the state's columns."""
-    return np.einsum("ij,ij->i", psi, psi)
+def _two_halves(first, second, t_max: int, record) -> int:
+    """Step the half ``first`` on the caller's thread and ``second`` on one
+    worker thread in lock step, two barriers per step, and return the steps
+    done.  After a step at which the caller has waited for the worker longer
+    in all than it worked itself, which a worker kept off its CPU causes,
+    the caller breaks the barrier and steps the rest alone; the worker stops
+    at its next barrier, having at most run its half's matmuls of the next
+    step, which the caller runs again.  An error in either half breaks the barrier and is raised here; the
+    worker never outlives the call."""
+    barrier, failure = threading.Barrier(2), []
+    busy = waited = 0.0
+
+    def caller_sync(last: bool) -> bool:
+        nonlocal mark, busy, waited
+        start = time.perf_counter()
+        busy += start - mark
+        barrier.wait()
+        mark = time.perf_counter()
+        waited += mark - start
+        return last and waited > busy
+
+    def worker_sync(last: bool) -> bool:
+        barrier.wait()
+        return False
+
+    def work():
+        try:
+            _steps(*second, range(t_max), worker_sync)
+        except threading.BrokenBarrierError:
+            pass  # the caller stepped on alone or failed, and raises its own error
+        except BaseException as exc:  # any error of this half is the call's
+            failure.append(exc)
+            barrier.abort()
+
+    worker = threading.Thread(target=work, name="simqwalk-half")
+    worker.start()
+    done, mark = 0, time.perf_counter()
+    try:
+        done = _steps(*first, range(t_max), caller_sync, record)
+    except threading.BrokenBarrierError:
+        pass  # only the worker breaks the barrier while this half runs; its error is raised below
+    finally:
+        barrier.abort()
+        worker.join()
+    if failure:
+        raise failure[0]
+    return done
+
+
+def _evolution(component: _Component, psi: np.ndarray, t_max: int, record=None) -> None:
+    """Step a planar ``(2 m_c, d)`` state on one component in place ``t_max``
+    times.  With ``record``, ``record(t, mass)`` is called after step ``t``
+    (from 0) with the squared amplitude on each planar row, summed over the
+    columns; ``mass`` is overwritten by the next step.
+
+    A state that :func:`_split` accepts is stepped in two halves
+    (:func:`_two_halves`): the component's rows are cut at a degree-class
+    boundary (:func:`_cut`), and the caller's thread steps the first half
+    and one worker thread the second.  Both write their matmuls into one
+    shared ``coined``; one barrier keeps every gather behind all matmuls,
+    another the next matmuls behind all gathers.  Every class matmul, row
+    gather and row mass is the one the whole state would run, so the bytes
+    do not depend on the split, nor on the step at which it ends.
+    """
+    coined = np.empty_like(psi)
+    mass = None if record is None else np.empty(len(psi))
+    after = None if record is None else lambda t: record(t, mass)
+    classes = component.classes
+
+    def half(lo: int, hi: int) -> tuple:
+        rows = slice(2 * classes[lo][0].start, 2 * classes[hi - 1][0].stop)
+        return (_coin_views(classes[lo:hi], psi, coined), coined, component.shift[rows],
+                psi[rows], None if mass is None else mass[rows])
+
+    done = 0
+    if _split(classes, psi):
+        cut = _cut(classes)
+        done = _two_halves(half(0, cut), half(cut, len(classes)), t_max, after)
+    _steps(*half(0, len(classes)), range(done, t_max), lambda last: False, after)
 
 
 def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
@@ -388,23 +537,22 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
     block = np.empty((2 * walk.space.m, 1))
     block[planes, 0] = psi.real, psi.imag
     for component in walk.frame.components:
-        for _ in _evolution(component, block[component.planar], t):
-            pass
+        _evolution(component, block[component.planar], t)
     real, imag = block[planes, 0]
     return real + 1j * imag
 
 
-def _source_evolution(walk: UnitaryWalk, source: Simplex, t_max: int):
-    """Evolve every initial arc of an active source together, one column
-    each, on the source's component only; returns the source's degree, the
-    component and the step iterator over its planar ``(2 m_c, d)`` state."""
+def _source_state(walk: UnitaryWalk, source: Simplex):
+    """Every initial arc of an active source as one column of a planar
+    ``(2 m_c, d)`` state on the source's component only; returns the
+    source's degree, the component and the state."""
     blk = walk.space.block(source)
     d = blk.stop - blk.start
     component = walk.frame.components[walk.space.component[walk.space.index[source]]]
     rows = component.planar
     psi = np.zeros((rows.stop - rows.start, d))
     psi[walk.frame.planes[0, blk] - rows.start, np.arange(d)] = 1.0
-    return d, component, _evolution(component, psi, t_max)
+    return d, component, psi
 
 
 def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
@@ -423,11 +571,14 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
         raise InvalidParameterError("t_max must be >= 1")
     space = walk.space
     sx = space.require_active(source)
-    d_source, component, steps = _source_evolution(walk, sx, t_max)
+    d_source, component, psi = _source_state(walk, sx)
     n_active = len(space.active)
     profile = np.empty((t_max, n_active))
-    for t, psi in enumerate(steps):
-        profile[t] = np.bincount(component.source, _row_mass(psi), minlength=n_active)
+
+    def record(t, mass):
+        profile[t] = np.bincount(component.source, mass, minlength=n_active)
+
+    _evolution(component, psi, t_max, record)
     return profile / (d_source * space.degrees)
 
 
@@ -463,11 +614,10 @@ def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIM
         raise InvalidParameterError("time_steps must be >= 1")
     space = walk.space
     sx = space.require_active(source)
-    d_source, component, steps = _source_evolution(walk, sx, time_steps)
-    mass = np.zeros(len(component.source))
-    for psi in steps:
-        mass += _row_mass(psi)
-    total = np.bincount(component.source, mass, minlength=len(space.active))
+    d_source, component, psi = _source_state(walk, sx)
+    total = np.zeros(len(component.source))
+    _evolution(component, psi, time_steps, lambda t, mass: np.add(total, mass, out=total))
+    total = np.bincount(component.source, total, minlength=len(space.active))
     mean = total / (time_steps * d_source * space.degrees)
     # a step's real 2k-term coin products round a unit state by about
     # k**1.5 eps (k: largest coin); at T = 100 on karate the state error
@@ -583,7 +733,7 @@ def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
     sign[rows[1, 1]] = conj_sign[rows[1]] = swap_sign[rows[0, 1]] = -1.0
     eigenvalues, residuals = np.empty(m, dtype=np.complex128), np.empty(m)
     for lo in range(0, m, _CHUNK):
-        r = np.ascontiguousarray(basis[:, lo : lo + _CHUNK])
+        r = basis[:, lo : lo + _CHUNK]
         psi = r[pick]
         psi *= sign[:, None]
         coined = np.empty_like(psi)
@@ -624,7 +774,7 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
     i, j = flat[start + c], flat[start + r]
     # a diagonal entry G_x[i, i] is real, so chunks of them skip the imaginary product
     masses = np.zeros((len(i), len(space.active)), dtype=np.complex128)
-    vectors = np.ascontiguousarray(basis.T)
+    vectors = basis.T
     for lo in range(0, len(i), _CHUNK):
         ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]
         sym_i, anti_i, sym_j, anti_j = vectors[ii, 0::2], vectors[ii, 1::2], vectors[jj, 0::2], vectors[jj, 1::2]
@@ -645,8 +795,8 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     component's arcs, the peak stays below ``16 m**2 + 24 m_c**2`` bytes: an
     ``eigh`` holds ``40 m_c**2`` (H, LAPACK's copy, its ``2 m_c**2``
     workspace and the eigenvectors) beside the finished blocks, and the
-    ``8 m**2`` basis is held beside those blocks, then beside its transposed
-    copy in ``_group_masses``."""
+    ``8 m**2`` basis is held beside those blocks, then beside its one
+    column-major copy."""
     space, m = walk.space, walk.space.m
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {space.n}")
@@ -669,7 +819,10 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
             basis = np.zeros((m, m))
             for lo, hi, block in zip(cut, cut[1:], blocks):
                 basis[lo:hi, lo:hi] = block
-        del blocks  # before _group_masses copies the basis
+        del blocks  # before the basis is copied
+        # one copy with contiguous columns serves the check's column chunks
+        # and the group masses' eigenvector rows
+        basis = np.asfortranarray(basis)
         eigenvalues, residuals = _coin_eigenpairs(walk, pairs, basis)
         if residuals.max() > RESIDUAL_TOL:
             raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -7,6 +8,16 @@ from simqwalk import build_walk_space, clique_complex, karate_club_complex, step
 TRIANGLE_EDGES = [(1, 2), (1, 3), (2, 3)]
 BOWTIE_EDGES = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]
 K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fails a test that leaves a non-daemon thread running at teardown."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and not t.daemon]
+    if left:
+        pytest.fail(f"threads left running after the test: {left}")
 
 
 def random_clique_complex(seed):

@@ -347,11 +347,12 @@ print(json.dumps(results))
 """
 
 
-def _cli_calls(commands, **env):
+def _cli_calls(commands, prelude="", **env):
     """Exit code and SHA-256 of stdout and of stderr of each CLI argv, run in
-    turn in one fresh interpreter with ``env`` added to its environment."""
+    turn in one fresh interpreter with ``env`` added to its environment,
+    after the statements ``prelude``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
-    done = subprocess.run([sys.executable, "-c", _CLI_CALLS, json.dumps(commands)],
+    done = subprocess.run([sys.executable, "-c", prelude + _CLI_CALLS, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -518,6 +519,12 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(edges_file):
     expected = [[0, hashlib.sha256(golden.read_bytes()).hexdigest(), empty] for golden in goldens]
     assert _cli_calls(commands, OPENBLAS_NUM_THREADS="1") == expected
     assert _cli_calls(commands, OPENBLAS_NUM_THREADS="2") == expected
+    # finite commands with every state of two degree classes or more in two halves
+    finite = [i for i, argv in enumerate(commands) if "finite" in argv]
+    split = "import simqwalk.walk\nsimqwalk.walk._SPLIT_CELLS = 0\n"
+    for threads in ("1", "2"):
+        assert (_cli_calls([commands[i] for i in finite], split, OPENBLAS_NUM_THREADS=threads)
+                == [expected[i] for i in finite])
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

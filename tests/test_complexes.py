@@ -503,3 +503,28 @@ def test_simplex_listings_check_the_type_of_their_dimension(listing):
         assert [call(integral(n)) for n in range(K.max_dim + 1)] == expected
     # integral dimensions outside [0, max_dim] list nothing
     assert call(-1) == call(K.max_dim + 1) == call(9.0) == ((), 0)[listing == "num_simplices"]
+
+
+def _same(a, b) -> bool:
+    if sp.issparse(a):
+        return sp.issparse(b) and a.shape == b.shape and (a != b).nnz == 0
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("call", [
+    lambda K, n: K.lower_neighbors(n),
+    lambda K, n: K.adjacency(n, "lower"),
+    lambda K, n: K.components(n, "lower"),
+    lambda K, n: K.arc_count(n),
+], ids=["lower_neighbors", "adjacency", "components", "arc_count"])
+def test_cached_views_normalise_the_dimension_on_cold_and_warm_caches(call):
+    expected = call(karate_club_complex(), 1)
+    cold = karate_club_complex()
+    assert _same(call(cold, 1.0), expected)
+    for K in (karate_club_complex(), cold):  # a cold cache, then one warm at n = 1
+        for bad in (True, 1.5):
+            with pytest.raises(InvalidParameterError, match="dimension must be an integer"):
+                call(K, bad)
+    assert _same(call(cold, np.int64(1)), expected)

@@ -1,6 +1,10 @@
 import cmath
 import ctypes
 import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -390,6 +394,152 @@ def test_public_walk_calls_keep_the_blas_count(blas_threads, karate):
     ):
         call()
         assert blas_threads() == 2
+
+
+# -- two halves --------------------------------------------------------------------------
+
+
+def _force_split(monkeypatch) -> list:
+    """Step every state on a component of two degree classes or more in two
+    halves, as on two CPUs; returns the list that records each cut."""
+    cuts = []
+    cut = walk_module._cut
+    monkeypatch.setattr(walk_module, "_cut", lambda classes: cuts.append(classes) or cut(classes))
+    monkeypatch.setattr(walk_module, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(walk_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return cuts
+
+
+def _one_half_and_split(monkeypatch, compute):
+    """``compute()`` with every state on one half, then split as by
+    :func:`_force_split`; returns both results and the number of cuts."""
+    monkeypatch.setattr(walk_module, "_SPLIT_CELLS", 10**18)
+    one = compute()
+    cuts = _force_split(monkeypatch)
+    return one, compute(), len(cuts)
+
+
+def _finite_results(walks, time_steps, t_max):
+    return [(finite_time_average(walk, source, time_steps).weights, transition_profile(walk, source, t_max))
+            for walk in walks for source in walk.space.active]
+
+
+def _assert_same_bytes(one, two):
+    assert len(one) == len(two)
+    for (weights, profile), (split_weights, split_profile) in zip(one, two):
+        assert np.array_equal(weights, split_weights)
+        assert np.array_equal(profile, split_profile)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_changes_no_value_on_karate(karate, monkeypatch, n):
+    walks = [walk_on(karate, n)]
+    one, two, splits = _one_half_and_split(monkeypatch, lambda: _finite_results(walks, 100, 20))
+    # at n = 4 the two 4-simplices form one degree class, which has no cut
+    assert splits > 0 or n == 4
+    _assert_same_bytes(one, two)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_split_changes_no_value_on_random_complexes(monkeypatch, seed):
+    K = random_clique_complex(seed)
+    walks = [walk_on(K, n) for n in (1, 2) if n <= K.max_dim and K.arc_count(n)]
+    states = [np.random.default_rng(seed).normal(size=(walk.space.m, 2)) @ [1, 1j] for walk in walks]
+
+    def compute():
+        return _finite_results(walks, 30, 10), [evolve(w, state, 30) for w, state in zip(walks, states)]
+
+    (one, evolved), (two, split_evolved), splits = _one_half_and_split(monkeypatch, compute)
+    assert splits > 0
+    _assert_same_bytes(one, two)
+    assert all(np.array_equal(a, b) for a, b in zip(evolved, split_evolved))
+
+
+def test_split_under_thread_pressure_changes_no_value(karate, monkeypatch):
+    # three callers at once, each with its worker, on a switch interval of
+    # a microsecond: a gather or mass racing a matmul would change bytes
+    walk = walk_on(karate, 1)
+    sources = walk.space.active[:6]
+    expected = [finite_time_average(walk, source, 30).weights for source in sources]
+    cuts = _force_split(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            got = list(pool.map(lambda source: finite_time_average(walk, source, 30).weights, sources,
+                                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(cuts) == len(sources)
+    assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+
+
+def _replace_coin(walk, source, at, wrap):
+    """Gives class ``at`` of the source's component the coin ``wrap(coin)``;
+    the caller's thread steps the first class of a split, the worker the last."""
+    frame = walk.frame
+    c = walk.space.component[walk.space.index[source]]
+    classes = list(frame.components[c].classes)
+    classes[at] = (*classes[at][:2], wrap(classes[at][2]))
+    components = list(frame.components)
+    components[c] = components[c]._replace(classes=tuple(classes))
+    walk.__dict__["frame"] = type(frame)(frame.planes, tuple(components))
+
+
+class _HalfFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["caller", "worker"])
+def test_a_failing_half_raises_from_the_call_and_leaves_no_thread(karate, monkeypatch, at):
+    # either half's failing matmul raises the call's error
+    walk = walk_on(karate, 1)
+    source = max(walk.space.active, key=walk.space.degree)
+    failed_in = []
+
+    class FailingCoin:
+        # fails in the thread of its half only, so that no other thread's
+        # step can raise the error in its stead
+        def __init__(self, coin):
+            self.coin = coin
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) == (at == 0):
+                failed_in.append(threading.current_thread())
+                raise _HalfFailure
+            return getattr(ufunc, method)(self.coin, *inputs[1:], **kwargs)
+
+    _replace_coin(walk, source, at, FailingCoin)
+    cuts = _force_split(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(_HalfFailure):
+        finite_time_average(walk, source)
+    assert threading.active_count() == before
+    assert cuts and len(failed_in) == 1
+
+
+def test_a_slow_worker_hands_the_rest_to_the_caller(karate, monkeypatch):
+    # a worker kept off its CPU makes the caller wait longer than it works;
+    # the call then ends on the caller's thread alone, with the same bytes
+    walk = walk_on(karate, 1)
+    source = max(walk.space.active, key=walk.space.degree)
+    expected = finite_time_average(walk, source).weights
+
+    class SlowCoin:
+        def __init__(self, coin):
+            self.coin = coin
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.002)
+            return getattr(ufunc, method)(self.coin, *inputs[1:], **kwargs)
+
+    _replace_coin(walk, source, -1, SlowCoin)
+    cuts, done = _force_split(monkeypatch), []
+    two_halves = walk_module._two_halves
+    monkeypatch.setattr(walk_module, "_two_halves", lambda *args: done.append(two_halves(*args)) or done[-1])
+    assert np.array_equal(finite_time_average(walk, source).weights, expected)
+    assert cuts and 1 <= done[0] < 100
 
 
 # -- transition probabilities ----------------------------------------------------------
