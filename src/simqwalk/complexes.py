@@ -326,20 +326,20 @@ class SimplicialComplex:
     @_cached
     def components(self, n: int, flavor: str) -> np.ndarray:
         """Connected components of ``adjacency(n, flavor)``: every n-simplex is
-        labelled with the position of its component's first simplex.  Found by
-        traversal of the CSR arrays; cached per dimension and flavor."""
-        bounds, indices = (a.tolist() for a in self._adjacency_arrays(n, flavor))
-        labels = [-1] * (len(bounds) - 1)
-        for root in range(len(labels)):
-            if labels[root] < 0:
-                labels[root], stack = root, [root]
-                while stack:
-                    i = stack.pop()
-                    for j in indices[bounds[i] : bounds[i + 1]]:
-                        if labels[j] < 0:
-                            labels[j] = root
-                            stack.append(j)
-        return np.array(labels, dtype=np.int64)
+        labelled with its component's first position.  Each round hooks every
+        root to the least root beside its tree and jumps pointers to the roots;
+        the trees at least halve every two rounds.  Cached per dimension and flavor."""
+        indptr, indices = self._adjacency_arrays(n, flavor)
+        rows = np.flatnonzero(np.diff(indptr))  # the simplices with a neighbour
+        labels = np.arange(len(indptr) - 1)
+        while True:  # here every label is a root: labels[labels] == labels
+            least = np.minimum.reduceat(labels[indices], indptr[rows])
+            if (least >= labels[rows]).all():
+                return labels
+            np.minimum.at(labels, labels[rows], least)
+            up = labels[labels]
+            while not np.array_equal(up, labels):
+                labels, up = up, up[up]
 
     @_cached
     def lower_neighbors(self, n: int) -> dict[Simplex, tuple[Simplex, ...]]:

@@ -684,9 +684,8 @@ def _reverse_arc_entries(space: WalkSpace, pairs: np.ndarray) -> tuple[np.ndarra
     pair = np.empty(space.m, dtype=np.int64)
     pair[pairs] = np.arange(m // 2)
     sign = np.where(np.arange(space.m) < space.reverse, 1.0, -1.0)
-    own = np.zeros(len(space.active), dtype=bool)
-    own[space.source[pairs]] = True
-    starts, degrees = space.indptr[:-1][own], space.degrees[own]
+    own = np.unique(space.source[pairs])
+    starts, degrees = space.indptr[own], space.degrees[own]
     blocks = [np.add.outer(starts[degrees == k], np.arange(k)) for k in np.unique(degrees).tolist()]
     a = np.concatenate([np.repeat(block, block.shape[1], axis=1).ravel() for block in blocks])
     b = np.concatenate([np.tile(block, block.shape[1]).ravel() for block in blocks])
@@ -718,27 +717,31 @@ def _real_eigenvectors(m: int, flat: np.ndarray, values: np.ndarray) -> np.ndarr
 
 def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
     """Rayleigh quotients ``r^T M r`` and residuals ``|Mr - lambda r|`` of the
-    real columns r of ``basis`` (reverse-arc basis of ``pairs``) through the
-    coin alone: ``psi = W r`` satisfies ``S psi = conj(psi)``, so
-    ``lambda = psi^T C psi`` and ``|C psi - lambda conj(psi)| = |Mr - lambda r|``.
-    ``psi`` is laid out in the walk's planes, one class GEMM per column chunk."""
-    frame, m = walk.frame, basis.shape[0]
+    real columns r of ``basis`` (reverse-arc basis of ``pairs``, a run of whole
+    components in order) through the coin alone: ``psi = W r`` satisfies
+    ``S psi = conj(psi)``, so ``lambda = psi^T C psi`` and
+    ``|C psi - lambda conj(psi)| = |Mr - lambda r|``.  A chunk of columns lies
+    in one component, as in its own call, and takes one GEMM per class."""
+    frame, space, m = walk.frame, walk.space, basis.shape[0]
+    first, last = space.component[space.source[pairs[0, [0, -1]]]].tolist()
+    components, start = frame.components[first : last + 1], frame.components[first].part.start
     # sqrt(2) psi holds r[2p] on the real rows of both arcs of pair p and
     # +-r[2p + 1] on their imaginary rows; the planes of i conj(psi) swap
     # each arc's real and imaginary row, so they come from the same rows of r
-    rows = frame.planes[:, pairs]
+    rows = frame.planes[:, pairs] - 2 * start
     pick = np.empty(2 * m, dtype=np.int64)
     pick[rows] = 2 * np.arange(m // 2) + np.arange(2)[:, None, None]
     sign, conj_sign, swap_sign = np.ones(2 * m), np.ones(2 * m), np.ones(2 * m)
     sign[rows[1, 1]] = conj_sign[rows[1]] = swap_sign[rows[0, 1]] = -1.0
     eigenvalues, residuals = np.empty(m, dtype=np.complex128), np.empty(m)
-    for lo in range(0, m, _CHUNK):
-        r = basis[:, lo : lo + _CHUNK]
+    for lo, hi in [(lo, min(lo + _CHUNK, c.part.stop - start)) for c in components
+                   for lo in range(c.part.start - start, c.part.stop - start, _CHUNK)]:
+        r = basis[:, lo:hi]
         psi = r[pick]
         psi *= sign[:, None]
         coined = np.empty_like(psi)
-        for component in frame.components:
-            own = component.planar
+        for component in components:
+            own = slice(component.planar.start - 2 * start, component.planar.stop - 2 * start)
             for coin, state, out in _coin_views(component.classes, psi[own], coined[own]):
                 np.matmul(coin, state, out=out)
         conj, swapped = psi, r[pick ^ 1]
@@ -746,12 +749,12 @@ def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
         swapped *= swap_sign[:, None]
         real = np.einsum("ij,ij->j", conj, coined) / 2
         imag = np.einsum("ij,ij->j", swapped, coined) / 2
-        eigenvalues[lo : lo + _CHUNK] = real + 1j * imag
+        eigenvalues[lo:hi] = real + 1j * imag
         conj *= real
         swapped *= imag
         coined -= conj
         coined -= swapped
-        residuals[lo : lo + _CHUNK] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
+        residuals[lo:hi] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
     return eigenvalues, residuals
 
 
@@ -787,16 +790,16 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
 def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     """Spectral decomposition of the step operator from one real symmetric
     ``eigh`` per lower-connected component in the reverse-arc basis (module
-    docstring).  The pairs are sorted stably by component, so ``basis`` is
-    block diagonal; a one-component walk keeps the ``eigh``'s output as it.
-    Raises NoAdjacencyError on a walk without arcs, and NumericalError when
-    the peak exceeds physical memory, when an allocation fails anyway, or
-    when a residual exceeds ``RESIDUAL_TOL``.  With m_c the largest
-    component's arcs, the peak stays below ``16 m**2 + 24 m_c**2`` bytes: an
-    ``eigh`` holds ``40 m_c**2`` (H, LAPACK's copy, its ``2 m_c**2``
-    workspace and the eigenvectors) beside the finished blocks, and the
-    ``8 m**2`` basis is held beside those blocks, then beside its one
-    column-major copy."""
+    docstring).  With the pairs sorted stably by component, each component's
+    eigenvectors are written as one diagonal block of the column-major
+    ``basis`` and checked on its own pairs.  Raises NoAdjacencyError on a walk
+    without arcs, and NumericalError when the peak exceeds physical memory,
+    when an allocation fails anyway, or when a residual exceeds
+    ``RESIDUAL_TOL``.  The peak is the finished blocks beside one ``eigh``
+    (H, LAPACK's copy, its ``2 m_c**2`` workspace and the eigenvectors),
+    ``8 sum(m_c**2) + 40 m_c**2`` bytes, below ``16 m**2 + 24 m_c**2`` for m_c
+    the largest component's arcs: ``basis`` is allocated after the first
+    ``eigh``, and its zeros across components are never written."""
     space, m = walk.space, walk.space.m
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {space.n}")
@@ -810,20 +813,16 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     first = first[np.argsort(space.component[space.source[first]], kind="stable")]
     pairs = np.stack([first, space.reverse[first]])
     cut = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    basis, eigenvalues, residuals = None, np.empty(m, dtype=np.complex128), np.empty(m)
     try:
-        blocks = [_real_eigenvectors(hi - lo, *_reverse_arc_entries(space, pairs[:, lo // 2 : hi // 2]))
-                  for lo, hi in zip(cut, cut[1:])]
-        if len(blocks) == 1:
-            basis = blocks[0]
-        else:
-            basis = np.zeros((m, m))
-            for lo, hi, block in zip(cut, cut[1:], blocks):
-                basis[lo:hi, lo:hi] = block
-        del blocks  # before the basis is copied
-        # one copy with contiguous columns serves the check's column chunks
-        # and the group masses' eigenvector rows
-        basis = np.asfortranarray(basis)
-        eigenvalues, residuals = _coin_eigenpairs(walk, pairs, basis)
+        for lo, hi in zip(cut, cut[1:]):
+            own = pairs[:, lo // 2 : hi // 2]
+            block = _real_eigenvectors(hi - lo, *_reverse_arc_entries(space, own))
+            if basis is None:
+                basis = np.zeros((m, m), order="F")
+            basis[lo:hi, lo:hi] = block
+            del block  # before the next eigh
+            eigenvalues[lo:hi], residuals[lo:hi] = _coin_eigenpairs(walk, own, basis[lo:hi, lo:hi])
         if residuals.max() > RESIDUAL_TOL:
             raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
         phases = np.mod(np.angle(eigenvalues), 2 * np.pi)

@@ -6,9 +6,9 @@ instead of extending sorted rows by neighbour lists, adjacency from direct
 vertex-set overlap or from the off-diagonal support of the unsigned boundary
 Gram matrix, a scipy product, instead of the library's own numpy product of
 its face-rank arrays, evolution from dense matrix powers instead of the
-batched degree-class kernel, components from union-find instead of a
-traversal of the sparse adjacency, modularity from a dense modularity matrix
-instead of per-community counts, Hodge Laplacians from dense boundary
+batched degree-class kernel, components from union-find instead of root
+hooking over the CSR adjacency arrays, modularity from a dense modularity
+matrix instead of per-community counts, Hodge Laplacians from dense boundary
 matrices built by face enumeration instead of that numpy product, and the
 spectrum of the step operator from a dense complex Schur form with per-seed
 group projectors instead of a real symmetric ``eigh`` in the reverse-arc
@@ -100,6 +100,27 @@ def up_components(K, n):
         if upper_adjacent(K, a, b):
             uf.union(a, b)
     return {frozenset(g) for g in uf.groups()}
+
+
+def component_labels(K, n, flavor):
+    """Each n-simplex labelled with the position of its component's first
+    simplex, by union-find over the simplices that share an (n-1)-face
+    (``"lower"``) or lie in one (n+1)-simplex (``"upper"``)."""
+    simplices = K.simplices(n)
+    uf = UnionFind(range(len(simplices)))
+    if flavor == "lower":
+        by_face = {}
+        for i, s in enumerate(simplices):
+            for face in itertools.combinations(s, n):
+                uf.union(by_face.setdefault(face, i), i)
+    else:
+        position = {s: i for i, s in enumerate(simplices)}
+        for coface in K.simplices(n + 1):
+            first, *rest = (position[s] for s in itertools.combinations(coface, n + 1))
+            for i in rest:
+                uf.union(first, i)
+    first = {}
+    return np.array([first.setdefault(uf.find(i), i) for i in range(len(simplices))], dtype=np.int64)
 
 
 def graph_component_count(edges):

@@ -331,6 +331,36 @@ _GRAM_CASES += [
 ]
 
 
+def _path_complex(length, seed=None):
+    """A path of ``length`` edges, its vertices relabelled at random when seeded."""
+    labels = list(range(1, length + 2))
+    if seed is not None:
+        random.Random(seed).shuffle(labels)
+    return clique_complex(list(zip(labels, labels[1:])), max_dim=1)
+
+
+_COMPONENT_CASES = [pytest.param(lambda seed=seed: random_clique_complex(seed), id=f"random{seed}")
+                    for seed in range(1, 21)] + [
+    pytest.param(lambda: _path_complex(20_000), id="path"),
+    # relabelled, the positions along the path are far from monotone
+    pytest.param(lambda: _path_complex(20_000, seed=3), id="relabelled-path"),
+    pytest.param(lambda: SimplicialComplex({0: [(1,), (2,), (3,), (7,)], 1: [(1, 2), (1, 3), (2, 3)],
+                                            2: [(1, 2, 3)]}), id="isolated-simplices"),
+    pytest.param(lambda: clique_complex(K4_EDGES + [(5, 6), (7, 8), (8, 9), (10, 11)], max_dim=3),
+                 id="k4-and-strays"),
+]
+
+
+@pytest.mark.parametrize("make", _COMPONENT_CASES)
+def test_components_match_union_find(make):
+    K = make()
+    for n in range(K.max_dim + 1):
+        for flavor in ("lower", "upper") if n else ("upper",):
+            labels = K.components(n, flavor)
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, oracles.component_labels(K, n, flavor)), (n, flavor)
+
+
 @pytest.mark.parametrize("make", _GRAM_CASES)
 def test_adjacency_equals_the_boundary_gram(make):
     K = make()

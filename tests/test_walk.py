@@ -1054,6 +1054,27 @@ def test_coin_eigenpair_check_matches_dense_check_on_random_complexes(seed):
             _check_coin_eigenpairs(walk, spec.pairs, q)
 
 
+@pytest.mark.parametrize("seed", ["karate", None, 1, 2, 3, 4],
+                         ids=["karate", "bowtie_tetrahedron", "1", "2", "3", "4"])
+def test_coin_eigenpair_check_per_component_matches_the_whole_space_bytes(karate, seed):
+    # the spectrum checks each component on its own pairs and block; the
+    # whole-space check on the block-diagonal basis gives the same bytes
+    if seed == "karate":
+        walks = [walk_on(karate, 2)]
+    else:
+        K = _bowtie_and_tetrahedron() if seed is None else _disjoint_union(seed)
+        walks = [walk_on(K, n) for n in (1, 2) if K.arc_count(n)]
+    assert walks[0].space.component.max() >= 1
+    for walk in walks:
+        spec = unitary_spectrum(walk)
+        whole = _coin_eigenpairs(walk, spec.pairs, spec.basis)
+        cut = np.append(0, np.cumsum(np.bincount(walk.space.component[walk.space.source])))
+        for lo, hi in zip(cut[:-1], cut[1:]):
+            own = _coin_eigenpairs(walk, spec.pairs[:, lo // 2 : hi // 2], spec.basis[lo:hi, lo:hi])
+            for mine, theirs in zip(own, whole):
+                assert mine.tobytes() == theirs[lo:hi].tobytes()
+
+
 def test_large_residual_is_a_numerical_error(karate, monkeypatch):
     monkeypatch.setattr(walk_module, "RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericalError, match="residual"):
