@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _integer
 from .errors import InvalidParameterError, NoAdjacencyError
 from .walk import (
     DEFAULT_TIME_STEPS,
@@ -240,8 +240,7 @@ def detect_communities(
         raise InvalidParameterError(f"unknown estimator {method!r}")
     if threshold not in ("strict", "geq"):
         raise InvalidParameterError(f"unknown threshold mode {threshold!r}")
-    if time_steps < 1:
-        raise InvalidParameterError("time_steps must be >= 1")
+    time_steps = _integer(time_steps, "time_steps", 1)
     space = build_walk_space(K, n)
     walk = step_operator(space)
     spectrum = unitary_spectrum(walk) if method == "spectral" and space.m else None

@@ -59,11 +59,15 @@ def _integral(v) -> bool:
         return False
 
 
-def _dimension(n) -> int:
-    """``n`` as an int, if it is integral (integral floats are, booleans are not)."""
-    if not _integral(n):
-        raise InvalidParameterError(f"dimension must be an integer, got {n!r}")
-    return int(n)
+def _integer(value, name: str = "dimension", low: int | None = None, too_low: str | None = None) -> int:
+    """``value`` as an int, if it is integral (integral floats are, booleans
+    are not) and, with ``low``, at least ``low``; ``too_low`` is the message
+    for a smaller value (default: ``"{name} must be >= {low}"``)."""
+    if not _integral(value):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidParameterError(too_low or f"{name} must be >= {low}")
+    return int(value)
 
 
 def canonical_simplex(vertices: Iterable[int]) -> Simplex:
@@ -113,7 +117,7 @@ def _cached(method):
     lookup, so ``1.0`` shares the entry of ``1`` and ``True`` never hits."""
     @wraps(method)
     def cached(self, n, *args, **kwargs):
-        n = _dimension(n)
+        n = _integer(n)
         key = (method.__name__, n, *args, *kwargs.items())
         if key not in self._cache:
             self._cache[key] = method(self, n, *args, **kwargs)
@@ -214,14 +218,14 @@ class SimplicialComplex:
 
     def simplices(self, n: int) -> tuple[Simplex, ...]:
         """The n-simplices in canonical order (empty tuple if none).  Cached."""
-        return self._simplices(_dimension(n))
+        return self._simplices(_integer(n))
 
     @_cached
     def _simplices(self, n: int) -> tuple[Simplex, ...]:
         return tuple(map(tuple, self._ids[self._cells[n]].tolist())) if n in self._cells else ()
 
     def num_simplices(self, n: int) -> int:
-        return len(self._cells.get(_dimension(n), ()))
+        return len(self._cells.get(_integer(n), ()))
 
     def __contains__(self, simplex: Sequence[int]) -> bool:
         return tuple(simplex) in self._index
@@ -242,7 +246,7 @@ class SimplicialComplex:
         """``n`` as an int, if it is an integral dimension in ``[low, max_dim]``
         (integral floats are, booleans are not); ``too_low``, if given, is the
         message for ``n < low``."""
-        n = _dimension(n)
+        n = _integer(n)
         if n < low and too_low is not None:
             raise InvalidParameterError(too_low)
         if not low <= n <= self.max_dim:
@@ -393,11 +397,11 @@ def clique_complex(edges: Iterable[Sequence[int]], max_dim: int = 4) -> Simplici
     the larger neighbours of its last vertex that are adjacent to all its
     other vertices, so the rows come out in lexicographic order.
 
-    Raises InvalidParameterError if ``max_dim < 1``, InvalidEdgeError for an
-    edge that is not two integer ids, a self-loop or a non-positive id.
+    Raises InvalidParameterError unless ``max_dim`` is an integer >= 1, and
+    InvalidEdgeError for an edge that is not two integer ids, a self-loop or
+    a non-positive id.
     """
-    if max_dim < 1:
-        raise InvalidParameterError(f"max_dim must be >= 1, got {max_dim}")
+    max_dim = _integer(max_dim, "max_dim", 1, f"max_dim must be >= 1, got {max_dim}")
     edges = [tuple(e) for e in edges]
     if {len(e) for e in edges} - {2} or {type(v) for e in edges for v in e} - {int}:
         for e in edges:

@@ -30,9 +30,9 @@ eigenvectors r of M, and ``K = Im(e^{i alpha} M)`` separates phases that
 share a cosine inside clusters of near-equal eigenvalues.  Each coin entry
 lands on the 2 x 2 reverse-arc columns of two pairs, so the dense H is one
 ``bincount`` over the coin blocks, with neither W nor the sparse step.  U
-never leaves a lower-connected component, so H is block diagonal over them:
-one ``eigh`` per component gives a block-diagonal eigenbasis, whose entries
-and weights across two components are exact zeros.
+never leaves a lower-connected component, so H and every eigenphase
+projector split over them: each component has its own ``eigh``, check, phase
+groups and group masses, and no group, basis entry or weight spans two.
 Every eigenpair is checked through the coin alone: ``psi = W r`` satisfies
 ``S psi = conj(psi)``, so ``r^T M r = psi^T C psi`` and the residual
 ``|C psi - lambda conj(psi)|`` equals ``|Mr - lambda r|``; the check runs
@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _integer
 from .errors import (
     InvalidParameterError,
     IsolatedSimplexError,
@@ -218,8 +218,7 @@ def fourier_block(d: int) -> np.ndarray:
     point, so an entry that is real in exact arithmetic may carry a rounding
     in its imaginary part: ``fourier_block(2)[1, 1]`` is ``-1/sqrt(2)`` plus
     about ``8.7e-17 i``."""
-    if d < 1:
-        raise InvalidParameterError("coin dimension must be >= 1")
+    d = _integer(d, "coin dimension", 1)
     idx = np.arange(d)
     return np.exp(2j * np.pi * np.outer(idx, idx) / d) / np.sqrt(d)
 
@@ -528,8 +527,7 @@ def _evolution(component: _Component, psi: np.ndarray, t_max: int, record=None) 
 def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
     """Apply ``t`` walk steps to a state (no matrix powers, no sparse products),
     one lower-connected component at a time."""
-    if t < 0:
-        raise InvalidParameterError("number of steps must be >= 0")
+    t = _integer(t, "number of steps", 0)
     psi = np.asarray(state, dtype=np.complex128)
     if psi.shape != (walk.space.m,):
         raise InvalidParameterError(f"state has shape {psi.shape}, expected ({walk.space.m},)")
@@ -567,8 +565,7 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
     One batched evolution of all the source's initial arcs serves every
     target simultaneously.
     """
-    if t_max < 1:
-        raise InvalidParameterError("t_max must be >= 1")
+    t_max = _integer(t_max, "t_max", 1)
     space = walk.space
     sx = space.require_active(source)
     d_source, component, psi = _source_state(walk, sx)
@@ -584,8 +581,7 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
 
 def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
     """Normalized transition probability from ``source`` to ``target`` at time t."""
-    if t < 1:
-        raise InvalidParameterError("time must be >= 1")
+    t = _integer(t, "time", 1)
     space = walk.space
     sy = space.require_active(target)
     profile = transition_profile(walk, source, t)
@@ -610,8 +606,7 @@ class TransitionTable:
 
 def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIME_STEPS) -> TransitionTable:
     """Average the transition weights over times ``1..time_steps``."""
-    if time_steps < 1:
-        raise InvalidParameterError("time_steps must be >= 1")
+    time_steps = _integer(time_steps, "time_steps", 1)
     space = walk.space
     sx = space.require_active(source)
     d_source, component, psi = _source_state(walk, sx)
@@ -631,28 +626,32 @@ class UnitarySpectrum:
     """Eigenphases and orthonormal eigenvectors of the step operator.
 
     ``basis`` holds them as real columns in the reverse-arc basis of the arc
-    ``pairs``; ``vectors``, in the arc basis, is built on first use.
-    ``groups`` clusters eigenvector indices of equal phase (up to a circular
-    tolerance).  ``masses @ masses^dagger`` sums ``tr(G_x G_y)`` over groups;
-    ``error`` bounds each eigenvector's error: residual plus m roundings.
-    ``space`` is the walk space the spectrum was taken on.
+    ``pairs``, component by component; ``vectors``, in the arc basis, is
+    built on first use.  ``groups`` clusters eigenvector indices of equal
+    phase (up to a circular tolerance) within one component; ``masses[c] @
+    masses[c]^dagger`` sums ``tr(G_x G_y)`` over the groups of component c,
+    one row per active simplex of c.  ``error`` bounds each eigenvector's
+    error: residual plus m roundings; ``space`` is the walk's space.
     """
 
     phases: np.ndarray
     groups: tuple[tuple[int, ...], ...]
     basis: np.ndarray = field(repr=False)
     pairs: np.ndarray = field(repr=False)
-    masses: np.ndarray = field(repr=False)
+    masses: tuple[np.ndarray, ...] = field(repr=False)
     error: float
     space: WalkSpace = field(repr=False)
+
+    def _rows(self, arcs: np.ndarray) -> np.ndarray:
+        """The rows ``arcs`` of ``vectors``, from the basis rows of their pairs."""
+        second, pair = np.divmod(np.argsort(self.pairs, axis=None)[arcs], self.pairs.shape[1])
+        sym, anti = self.basis[2 * pair + np.arange(2)[:, None]] / np.sqrt(2)
+        return np.where(second[:, None] == 1, sym - 1j * anti, sym + 1j * anti)
 
     @cached_property
     def vectors(self) -> np.ndarray:
         """Orthonormal eigenvectors in the arc basis, one per column."""
-        sym, anti = self.basis[0::2] / np.sqrt(2), self.basis[1::2] / np.sqrt(2)
-        vectors = np.empty(self.basis.shape, dtype=np.complex128)
-        vectors[self.pairs[0]], vectors[self.pairs[1]] = sym + 1j * anti, sym - 1j * anti
-        return vectors
+        return self._rows(np.arange(self.space.m))
 
 
 def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
@@ -675,7 +674,7 @@ def _group_phases(phases: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]
 def _reverse_arc_entries(space: WalkSpace, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions ``row * m + col`` and values of the entries of ``e^{i alpha} M``
     on the m reverse-arc columns of the ``m / 2`` arc ``pairs``, which hold
-    every arc of their sources (a union of components).  Coin entry
+    every arc of their sources (one component, or more).  Coin entry
     ``C[a, b]`` of a source block is ``U[reverse[a], b]``; with p the pair of
     a and q that of b, W puts ``(1, i s_b, -i s_r, s_r s_b) / 2`` times it at
     rows ``2p + (0, 0, 1, 1)`` and columns ``2q + (0, 1, 0, 1)`` (s: +1 on a
@@ -715,58 +714,53 @@ def _real_eigenvectors(m: int, flat: np.ndarray, values: np.ndarray) -> np.ndarr
     return basis
 
 
-def _coin_eigenpairs(walk: UnitaryWalk, pairs: np.ndarray, basis: np.ndarray):
+def _coin_eigenpairs(walk: UnitaryWalk, c: int, pairs: np.ndarray, basis: np.ndarray):
     """Rayleigh quotients ``r^T M r`` and residuals ``|Mr - lambda r|`` of the
-    real columns r of ``basis`` (reverse-arc basis of ``pairs``, a run of whole
-    components in order) through the coin alone: ``psi = W r`` satisfies
-    ``S psi = conj(psi)``, so ``lambda = psi^T C psi`` and
-    ``|C psi - lambda conj(psi)| = |Mr - lambda r|``.  A chunk of columns lies
-    in one component, as in its own call, and takes one GEMM per class."""
-    frame, space, m = walk.frame, walk.space, basis.shape[0]
-    first, last = space.component[space.source[pairs[0, [0, -1]]]].tolist()
-    components, start = frame.components[first : last + 1], frame.components[first].part.start
+    real columns r of ``basis`` (reverse-arc basis of component c's
+    ``pairs``) through the coin alone: ``psi = W r`` satisfies
+    ``S psi = conj(psi)``, so ``lambda = psi^T C psi`` and ``|C psi - lambda
+    conj(psi)| = |Mr - lambda r|``, one GEMM per class and chunk of columns."""
+    component, m = walk.frame.components[c], basis.shape[0]
     # sqrt(2) psi holds r[2p] on the real rows of both arcs of pair p and
     # +-r[2p + 1] on their imaginary rows; the planes of i conj(psi) swap
     # each arc's real and imaginary row, so they come from the same rows of r
-    rows = frame.planes[:, pairs] - 2 * start
+    rows = walk.frame.planes[:, pairs] - component.planar.start
     pick = np.empty(2 * m, dtype=np.int64)
     pick[rows] = 2 * np.arange(m // 2) + np.arange(2)[:, None, None]
     sign, conj_sign, swap_sign = np.ones(2 * m), np.ones(2 * m), np.ones(2 * m)
     sign[rows[1, 1]] = conj_sign[rows[1]] = swap_sign[rows[0, 1]] = -1.0
     eigenvalues, residuals = np.empty(m, dtype=np.complex128), np.empty(m)
-    for lo, hi in [(lo, min(lo + _CHUNK, c.part.stop - start)) for c in components
-                   for lo in range(c.part.start - start, c.part.stop - start, _CHUNK)]:
-        r = basis[:, lo:hi]
+    for columns in (slice(lo, lo + _CHUNK) for lo in range(0, m, _CHUNK)):
+        r = basis[:, columns]
         psi = r[pick]
         psi *= sign[:, None]
         coined = np.empty_like(psi)
-        for component in components:
-            own = slice(component.planar.start - 2 * start, component.planar.stop - 2 * start)
-            for coin, state, out in _coin_views(component.classes, psi[own], coined[own]):
-                np.matmul(coin, state, out=out)
+        for coin, state, out in _coin_views(component.classes, psi, coined):
+            np.matmul(coin, state, out=out)
         conj, swapped = psi, r[pick ^ 1]
         conj *= conj_sign[:, None]
         swapped *= swap_sign[:, None]
         real = np.einsum("ij,ij->j", conj, coined) / 2
         imag = np.einsum("ij,ij->j", swapped, coined) / 2
-        eigenvalues[lo:hi] = real + 1j * imag
+        eigenvalues[columns] = real + 1j * imag
         conj *= real
         swapped *= imag
         coined -= conj
         coined -= swapped
-        residuals[lo:hi] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
+        residuals[columns] = np.sqrt(np.einsum("ij,ij->j", coined, coined) / 2)
     return eigenvalues, residuals
 
 
 def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
-    """Entries ``G_x[i, j]`` of every group's Gram matrices, one column per
-    (i, j) in the group: with ``z = sym + i anti``, arc a of a pair adds
-    ``conj(z_i) z_j / 2`` to its source's entry and arc b the conjugate, so
-    the real part sums over both arcs' sources and the imaginary part takes
-    their difference."""
-    plus, minus = np.zeros((2, len(space.active), pairs.shape[1]))
-    plus[space.source[pairs], np.arange(pairs.shape[1])] = 0.5
-    minus[space.source[pairs], np.arange(pairs.shape[1])] = [[0.5], [-0.5]]
+    """Entries ``G_x[i, j]`` of the Gram matrices of one component's
+    ``groups`` of columns of its ``basis``, one row per active simplex x of
+    the component and one column per (i, j) in a group: with
+    ``z = sym + i anti``, arc a of a pair adds ``conj(z_i) z_j / 2`` to its
+    source's entry and arc b the conjugate, so the real part sums over both
+    arcs' sources and the imaginary part takes their difference."""
+    source = np.unique(space.source[pairs], return_inverse=True)[1].reshape(pairs.shape)
+    plus, minus = np.zeros((2, source.max() + 1, pairs.shape[1]))
+    plus[source, np.arange(pairs.shape[1])], minus[source, np.arange(pairs.shape[1])] = 0.5, [[0.5], [-0.5]]
     size = np.fromiter(map(len, groups), np.int64, len(groups))
     flat = np.fromiter(itertools.chain.from_iterable(groups), np.int64, size.sum())
     # entry e of a group g of k members is (i, j) = (g[c], g[r]) with r, c = divmod(e, k)
@@ -776,7 +770,7 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
     start = np.repeat(np.cumsum(size) - size, square)
     i, j = flat[start + c], flat[start + r]
     # a diagonal entry G_x[i, i] is real, so chunks of them skip the imaginary product
-    masses = np.zeros((len(i), len(space.active)), dtype=np.complex128)
+    masses = np.zeros((len(i), len(plus)), dtype=np.complex128)
     vectors = basis.T
     for lo in range(0, len(i), _CHUNK):
         ii, jj = i[lo : lo + _CHUNK], j[lo : lo + _CHUNK]
@@ -790,21 +784,23 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
 def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     """Spectral decomposition of the step operator from one real symmetric
     ``eigh`` per lower-connected component in the reverse-arc basis (module
-    docstring).  With the pairs sorted stably by component, each component's
-    eigenvectors are written as one diagonal block of the column-major
-    ``basis`` and checked on its own pairs.  Raises NoAdjacencyError on a walk
+    docstring).  With the pairs sorted stably by component, each component
+    is taken start to finish on its own pairs: its eigenvectors, written as
+    one diagonal block of the column-major ``basis``, their check, their
+    phase groups and its group masses.  Raises NoAdjacencyError on a walk
     without arcs, and NumericalError when the peak exceeds physical memory,
     when an allocation fails anyway, or when a residual exceeds
     ``RESIDUAL_TOL``.  The peak is the finished blocks beside one ``eigh``
     (H, LAPACK's copy, its ``2 m_c**2`` workspace and the eigenvectors),
     ``8 sum(m_c**2) + 40 m_c**2`` bytes, below ``16 m**2 + 24 m_c**2`` for m_c
-    the largest component's arcs: ``basis`` is allocated after the first
-    ``eigh``, and its zeros across components are never written."""
+    the largest component's arcs: ``basis`` and the arc frame (the component
+    sizes come from the space) are built after the first ``eigh``, and the
+    zeros of ``basis`` across components are never written."""
     space, m = walk.space, walk.space.m
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {space.n}")
-    sizes = np.bincount(space.component[space.source])
-    need = 16 * m * m + 24 * int(sizes.max()) ** 2
+    stops = np.cumsum(np.bincount(space.component[space.source])).tolist()
+    need = 16 * m * m + 24 * int(np.diff(stops, prepend=0).max()) ** 2
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise NumericalError(f"the spectrum of {m} arcs needs {need / 2**30:.1f} GiB, "
@@ -812,25 +808,24 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     first = np.flatnonzero(np.arange(m) < space.reverse)
     first = first[np.argsort(space.component[space.source[first]], kind="stable")]
     pairs = np.stack([first, space.reverse[first]])
-    cut = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    basis, eigenvalues, residuals = None, np.empty(m, dtype=np.complex128), np.empty(m)
+    basis, phases, residuals, groups, masses = None, np.empty(m), np.empty(m), [], []
     try:
-        for lo, hi in zip(cut, cut[1:]):
-            own = pairs[:, lo // 2 : hi // 2]
-            block = _real_eigenvectors(hi - lo, *_reverse_arc_entries(space, own))
-            if basis is None:
-                basis = np.zeros((m, m), order="F")
-            basis[lo:hi, lo:hi] = block
+        for c, part in enumerate(map(slice, [0] + stops[:-1], stops)):
+            own = pairs[:, part.start // 2 : part.stop // 2]
+            block = _real_eigenvectors(part.stop - part.start, *_reverse_arc_entries(space, own))
+            basis = np.zeros((m, m), order="F") if basis is None else basis
+            basis[part, part] = block
             del block  # before the next eigh
-            eigenvalues[lo:hi], residuals[lo:hi] = _coin_eigenpairs(walk, own, basis[lo:hi, lo:hi])
-        if residuals.max() > RESIDUAL_TOL:
-            raise NumericalError(f"eigenpair residual {residuals.max():.1e} exceeds {RESIDUAL_TOL:g}")
-        phases = np.mod(np.angle(eigenvalues), 2 * np.pi)
-        groups = _group_phases(phases, DEFAULT_PHASE_TOL)
-        masses = _group_masses(space, pairs, basis, groups)
+            eigenvalues, residuals[part] = _coin_eigenpairs(walk, c, own, basis[part, part])
+            if residuals[part].max() > RESIDUAL_TOL:
+                raise NumericalError(f"eigenpair residual {residuals[part].max():.1e} exceeds {RESIDUAL_TOL:g}")
+            phases[part] = np.mod(np.angle(eigenvalues), 2 * np.pi)
+            local = _group_phases(phases[part], DEFAULT_PHASE_TOL)
+            groups.extend(tuple(part.start + i for i in group) for group in local)
+            masses.append(_group_masses(space, own, basis[part, part], local))
     except MemoryError:
         raise NumericalError(f"the spectrum of {m} arcs ran out of memory") from None
-    return UnitarySpectrum(phases, groups, basis, pairs, masses, residuals.max() + m * _EPS, space)
+    return UnitarySpectrum(phases, tuple(groups), basis, pairs, tuple(masses), residuals.max() + m * _EPS, space)
 
 
 def _spectrum_of(walk: UnitaryWalk, spectrum: UnitarySpectrum | None) -> UnitarySpectrum:
@@ -849,13 +844,17 @@ def long_time_average_spectral(
 
     The weight to a target sums ``|<target arc| P_g |source arc>|**2`` over
     eigenphase groups g and arcs, with the same degree normalization as the
-    per-time weights: one row of the spectrum's ``masses @ masses^dagger``.
+    per-time weights: one row of ``masses[c] @ masses[c]^dagger`` for the
+    source's component c, and an exact zero for every simplex outside it.
     """
     space = walk.space
     sx = space.require_active(source)
     spec = _spectrum_of(walk, spectrum)
     ix = space.index[sx]
-    weights = (spec.masses @ spec.masses[ix].conj()).real / (space.degrees[ix] * space.degrees)
+    members = np.flatnonzero(space.component == space.component[ix])
+    masses, weights = spec.masses[space.component[ix]], np.zeros(len(space.active))
+    row = (masses @ masses[np.searchsorted(members, ix)].conj()).real
+    weights[members] = row / (space.degrees[ix] * space.degrees[members])
     return TransitionTable(sx, "spectral", weights, spec.error, space)
 
 
@@ -873,5 +872,6 @@ def amplitude_lower_bound(
     by = space.block(space.require_active(target))
     spec = _spectrum_of(walk, spectrum)
     # <y|v_k><v_k|x> for every eigenvector, summed within each group
-    terms = spec.vectors[by].mean(axis=0) * spec.vectors[bx].mean(axis=0).conj()
+    x, y = (spec._rows(np.arange(block.start, block.stop)).mean(axis=0) for block in (bx, by))
+    terms = y * x.conj()
     return float(sum(abs(terms[list(group)].sum()) ** 2 for group in spec.groups))

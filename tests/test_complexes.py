@@ -16,15 +16,21 @@ from simqwalk import (
     canonical_simplex,
     clique_complex,
     detect_communities,
+    evolve,
     exact_down_communities,
     exact_up_communities,
     faces,
+    finite_time_average,
+    fourier_block,
     hodge_laplacian,
     karate_club_complex,
     karate_club_edges,
     laplacian_spectrum,
     parse_edge_lines,
     simplicial_modularity,
+    step_operator,
+    transition_probability,
+    transition_profile,
     verify_chain_identities,
     verify_symmetry,
 )
@@ -519,6 +525,40 @@ def test_every_dimension_argument_is_checked_alike(call):
     for integral in (2.0, np.int64(2)):
         n = call(K, integral).n
         assert n == 2 and type(n) is int
+
+
+def _k4_walk():
+    return step_operator(build_walk_space(clique_complex(K4_EDGES), 1))
+
+
+@pytest.mark.parametrize("call,name,low,too_low", [
+    (fourier_block, "coin dimension", 1, "coin dimension must be >= 1"),
+    (lambda t: evolve(_k4_walk(), np.eye(24)[0], t), "number of steps", 0, "number of steps must be >= 0"),
+    (lambda t: transition_profile(_k4_walk(), (1, 2), t), "t_max", 1, "t_max must be >= 1"),
+    (lambda t: transition_probability(_k4_walk(), (1, 2), (2, 3), t), "time", 1, "time must be >= 1"),
+    (lambda t: finite_time_average(_k4_walk(), (1, 2), t), "time_steps", 1, "time_steps must be >= 1"),
+    (lambda t: detect_communities(clique_complex(K4_EDGES), 2, "finite", t), "time_steps", 1,
+     "time_steps must be >= 1"),
+    (lambda d: clique_complex(K4_EDGES, max_dim=d), "max_dim", 1, "max_dim must be >= 1, got 0"),
+], ids=["fourier_block", "evolve", "profile", "probability", "finite", "detect", "clique_complex"])
+def test_every_count_argument_is_checked_alike(call, name, low, too_low):
+    for bad in (1.5, 2.5, True, False, "2", None, np.float64("nan"), np.inf):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            call(bad)
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(too_low)}$"):
+        call(low - 1)
+    expected = call(2)
+    for integral in (2.0, np.int64(2)):
+        result = call(integral)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(result, expected)
+        elif hasattr(expected, "weights"):
+            assert result.estimator == expected.estimator == "finite(T=2)"
+            assert np.array_equal(result.weights, expected.weights)
+        elif isinstance(expected, SimplicialComplex):
+            assert result.max_dim == 2 and type(result.max_dim) is int
+        else:
+            assert result == expected
 
 
 @pytest.mark.parametrize("listing", ["simplices", "num_simplices"])

@@ -873,25 +873,34 @@ def _circular_gap(a, b):
 
 
 def _check_against_schur(walk, spec, sources):
-    """Compare a spectrum with the Schur oracle: phase groups (sizes, phases,
-    projectors) and the all-seed weights against per-seed projector weights."""
+    """Compare a spectrum with the whole-space Schur oracle: each library
+    phase group lies in one component c and in the span of the Schur group
+    nearest in phase, and the library ranks in c add up to the trace, so the
+    rank, of that Schur projector restricted to c; so the library projectors
+    in c sum to the restricted Schur projector.  Then the all-seed weights
+    against per-seed projector weights."""
     phases, vectors, groups = oracles.unitary_spectrum_schur(walk)
     tol = walk_module.DEFAULT_PHASE_TOL
-    assert len(spec.groups) == len(groups)
-    # pair each group with the Schur group nearest in phase
-    gap = _circular_gap(spec.phases[[g[0] for g in spec.groups]], phases[[g[0] for g in groups]])
-    match = gap.argmin(axis=1)
-    assert sorted(match.tolist()) == list(range(len(groups)))
-    overlap = vectors.conj().T @ spec.vectors
-    for g, h in zip(spec.groups, match.tolist()):
-        ours, theirs = list(g), list(groups[h])
-        assert len(ours) == len(theirs)
-        assert _circular_gap(spec.phases[ours], phases[theirs]).max() <= tol
-        # equal ranks and no part of the group outside the Schur group's
-        # span: the two projectors are equal
-        outside = spec.vectors[:, ours] - vectors[:, theirs] @ overlap[np.ix_(theirs, ours)]
-        assert np.linalg.norm(outside) < 1e-9
     space = walk.space
+    arc_component = space.component[space.source]
+    column_component = np.repeat(space.component[space.source[spec.pairs[0]]], 2)
+    owner = np.empty(space.m, dtype=np.int64)
+    for h, group in enumerate(groups):
+        owner[list(group)] = h
+    # pair each group with the Schur group of the Schur phase nearest its first
+    match = owner[_circular_gap(spec.phases[[g[0] for g in spec.groups]], phases).argmin(axis=1)]
+    ranks = {}
+    for g, h in zip(spec.groups, match.tolist()):
+        ours, theirs = spec.vectors[:, list(g)], vectors[:, list(groups[h])]
+        (c,) = set(column_component[list(g)].tolist())
+        assert _circular_gap(spec.phases[list(g)], phases[list(groups[h])]).max() <= tol
+        assert np.linalg.norm(ours - theirs @ (theirs.conj().T @ ours)) < 1e-9
+        ranks[c, h] = ranks.get((c, h), 0) + len(g)
+    for (c, h), rank in ranks.items():
+        restricted = vectors[:, list(groups[h])][arc_component == c]
+        assert abs(np.sum(np.abs(restricted) ** 2) - rank) < 1e-9
+    total = np.bincount(match, [len(g) for g in spec.groups], minlength=len(groups))
+    assert total.tolist() == [len(g) for g in groups]
     for source in sources:
         table = long_time_average_spectral(walk, source, spec)
         reference = oracles.projector_weights(walk, source, vectors, groups)
@@ -941,19 +950,34 @@ def test_spectrum_matches_schur_on_disjoint_unions(seed):
             _check_against_schur(walk, unitary_spectrum(walk), walk.space.active)
 
 
+def _parts(walk):
+    return [component.part for component in walk.frame.components]
+
+
+def _check_group_masses(walk):
+    space, spec = walk.space, unitary_spectrum(walk)
+    local = [tuple(tuple(range(k, min(k + 4, p.stop - p.start))) for k in range(0, p.stop - p.start, 4))
+             for p in _parts(walk)]
+    groups = tuple(tuple(p.start + i for i in g) for p, own in zip(_parts(walk), local) for g in own)
+    for c, p in enumerate(_parts(walk)):
+        masses = walk_module._group_masses(space, spec.pairs[:, p.start // 2 : p.stop // 2],
+                                           spec.basis[p, p], local[c])
+        members = np.flatnonzero(space.component == c)
+        assert masses.shape == (len(members), sum(len(g) ** 2 for g in local[c]))
+        degrees = space.degrees[members]
+        for row, ix in enumerate(members[:10].tolist()):
+            values = (masses @ masses[row].conj()).real / (degrees[row] * degrees)
+            reference = oracles.projector_weights(walk, space.active[ix], spec.vectors, groups)
+            np.testing.assert_allclose(values, reference[members], rtol=1e-10, atol=1e-25)
+            assert np.abs(np.delete(reference, members)).max() < 1e-25
+
+
 def test_group_masses_match_projectors_for_any_grouping(karate):
-    # coarse groups of consecutive eigenvectors give Gram matrices with
-    # nonzero imaginary parts; the identity sum_g tr(G_x G_y) holds for
-    # any grouping
-    walk = walk_on(karate, 2)
-    spec = unitary_spectrum(walk)
-    groups = tuple(tuple(range(k, min(k + 4, walk.space.m))) for k in range(0, walk.space.m, 4))
-    masses = walk_module._group_masses(walk.space, spec.pairs, spec.basis, groups)
-    degrees = walk.space.degrees
-    for ix, source in enumerate(walk.space.active[:10]):
-        values = (masses @ masses[ix].conj()).real / (degrees[ix] * degrees)
-        reference = oracles.projector_weights(walk, source, spec.vectors, groups)
-        np.testing.assert_allclose(values, reference, rtol=1e-10, atol=1e-25)
+    # coarse groups of consecutive eigenvectors of one component give Gram
+    # matrices with nonzero imaginary parts; the identity sum_g tr(G_x G_y)
+    # holds for any grouping, component by component
+    for walk in (walk_on(karate, 2), walk_on(_bowtie_and_tetrahedron(), 1)):
+        _check_group_masses(walk)
 
 
 def test_cluster_separation_splits_colliding_phases():
@@ -978,7 +1002,7 @@ def test_cluster_separation_splits_colliding_phases():
 def _dense_reverse_arc_operator(walk, pairs):
     """Dense ``W^dagger U W`` with W's columns ``(e_a + e_b)/sqrt(2)`` and
     ``i(e_a - e_b)/sqrt(2)`` for each arc pair (a, b)."""
-    w = np.zeros((walk.space.m, walk.space.m), dtype=complex)
+    w = np.zeros((walk.space.m, 2 * pairs.shape[1]), dtype=complex)
     for p, (a, b) in enumerate(pairs.T.tolist()):
         w[[a, b], 2 * p] = 1 / np.sqrt(2)
         w[[a, b], 2 * p + 1] = 1j / np.sqrt(2), -1j / np.sqrt(2)
@@ -1022,57 +1046,94 @@ def test_reverse_arc_entries_match_dense_operator_on_random_complexes():
     assert checked >= 40
 
 
-def _check_coin_eigenpairs(walk, pairs, basis):
-    dense = _dense_reverse_arc_operator(walk, pairs)
-    quotients = np.einsum("ij,ij->j", basis, dense @ basis)
-    residuals = np.linalg.norm(dense @ basis - basis * quotients, axis=0)
-    eigenvalues, coin_residuals = _coin_eigenpairs(walk, pairs, basis)
-    assert np.abs(eigenvalues - quotients).max() < 1e-13
-    assert np.abs(coin_residuals - residuals).max() < 1e-13 * max(1.0, residuals.max())
+def _check_coin_eigenpairs(walk, spec, rng=None):
+    """The coin check of each component's columns against the dense
+    operator on its pairs: on the spectrum's own block and, with ``rng``,
+    on real orthonormal columns that are not eigenvectors, whose residuals
+    are of order one."""
+    for c, p in enumerate(_parts(walk)):
+        pairs = spec.pairs[:, p.start // 2 : p.stop // 2]
+        dense = _dense_reverse_arc_operator(walk, pairs)
+        blocks = [spec.basis[p, p]]
+        if rng is not None:
+            blocks.append(np.linalg.qr(rng.standard_normal((p.stop - p.start,) * 2))[0])
+        for basis in blocks:
+            quotients = np.einsum("ij,ij->j", basis, dense @ basis)
+            residuals = np.linalg.norm(dense @ basis - basis * quotients, axis=0)
+            eigenvalues, coin_residuals = _coin_eigenpairs(walk, c, pairs, basis)
+            assert np.abs(eigenvalues - quotients).max() < 1e-13
+            assert np.abs(coin_residuals - residuals).max() < 1e-13 * max(1.0, residuals.max())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coin_eigenpair_check_matches_dense_check_on_karate(karate, karate_walk_n1,
                                                             karate_spectrum_n1, n):
     walk = karate_walk_n1 if n == 1 else walk_on(karate, n)
-    spec = karate_spectrum_n1 if n == 1 else unitary_spectrum(walk)
-    _check_coin_eigenpairs(walk, spec.pairs, spec.basis)
+    _check_coin_eigenpairs(walk, karate_spectrum_n1 if n == 1 else unitary_spectrum(walk))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_coin_eigenpair_check_matches_dense_check_on_random_complexes(seed):
-    # eigenvectors, and real orthonormal columns that are not eigenvectors,
-    # whose residuals are of order one
     rng = np.random.default_rng(seed)
     K = random_clique_complex(seed)
     for n in (1, 2):
         if n <= K.max_dim and K.arc_count(n):
             walk = walk_on(K, n)
-            spec = unitary_spectrum(walk)
-            _check_coin_eigenpairs(walk, spec.pairs, spec.basis)
-            q, _ = np.linalg.qr(rng.standard_normal((walk.space.m, walk.space.m)))
-            _check_coin_eigenpairs(walk, spec.pairs, q)
+            _check_coin_eigenpairs(walk, unitary_spectrum(walk), rng)
 
 
-@pytest.mark.parametrize("seed", ["karate", None, 1, 2, 3, 4],
-                         ids=["karate", "bowtie_tetrahedron", "1", "2", "3", "4"])
-def test_coin_eigenpair_check_per_component_matches_the_whole_space_bytes(karate, seed):
-    # the spectrum checks each component on its own pairs and block; the
-    # whole-space check on the block-diagonal basis gives the same bytes
-    if seed == "karate":
-        walks = [walk_on(karate, 2)]
-    else:
-        K = _bowtie_and_tetrahedron() if seed is None else _disjoint_union(seed)
-        walks = [walk_on(K, n) for n in (1, 2) if K.arc_count(n)]
-    assert walks[0].space.component.max() >= 1
-    for walk in walks:
-        spec = unitary_spectrum(walk)
-        whole = _coin_eigenpairs(walk, spec.pairs, spec.basis)
-        cut = np.append(0, np.cumsum(np.bincount(walk.space.component[walk.space.source])))
-        for lo, hi in zip(cut[:-1], cut[1:]):
-            own = _coin_eigenpairs(walk, spec.pairs[:, lo // 2 : hi // 2], spec.basis[lo:hi, lo:hi])
-            for mine, theirs in zip(own, whole):
-                assert mine.tobytes() == theirs[lo:hi].tobytes()
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4], ids=["bowtie_tetrahedron", "1", "2", "3", "4"])
+def test_coin_eigenpair_check_matches_dense_check_on_disjoint_unions(seed):
+    rng = np.random.default_rng(seed)
+    K = _bowtie_and_tetrahedron() if seed is None else _disjoint_union(seed)
+    assert walk_on(K, 1).space.component.max() >= 1
+    for n in (1, 2):
+        if K.arc_count(n):
+            walk = walk_on(K, n)
+            _check_coin_eigenpairs(walk, unitary_spectrum(walk), rng)
+
+
+def _copies(shape, count, rng):
+    """Edges of ``count`` copies of the graph ``shape`` on vertices 1..v, each
+    copy on its own v labels drawn from 1..count*v in ascending order, so the
+    copies interleave in the canonical order but each keeps the order of
+    ``shape``; returns the edges and each copy's vertex map."""
+    size = max(max(e) for e in shape)
+    labels = rng.permutation(np.arange(1, count * size + 1)).reshape(count, size)
+    maps = [dict(zip(range(1, size + 1), sorted(row.tolist()))) for row in labels]
+    return [(f[u], f[v]) for f in maps for u, v in shape], maps
+
+
+@pytest.mark.parametrize("shape,count,dims", [
+    ([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 300, (1, 2)),  # diamonds
+    (K4_EDGES, 50, (1, 2)),
+    (BOWTIE_EDGES + [(u + 5, v + 5) for u, v in K4_EDGES], 2, (1, 2)),
+], ids=["diamonds", "K4", "bowtie_tetrahedron"])
+def test_isomorphic_copies_share_no_phase_group_and_get_the_same_weights(shape, count, dims):
+    # every phase group lies in one component, and each copy of a component
+    # gets the first copy's weights byte for byte
+    edges, maps = _copies(shape, count, np.random.default_rng(count))
+    K = clique_complex(edges, max_dim=3)
+    for n in dims:
+        walk = walk_on(K, n)
+        space, spec = walk.space, unitary_spectrum(walk)
+        column_component = np.repeat(space.component[space.source[spec.pairs[0]]], 2)
+        assert all(len(set(column_component[list(g)].tolist())) == 1 for g in spec.groups)
+        assert len(spec.masses) == len(_parts(walk)) == space.component.max() + 1
+        # the active simplices of the first copy, on the vertices of ``shape``
+        inverse = {v: u for u, v in maps[0].items()}
+        shapes = [tuple(inverse[v] for v in s) for s in space.active if set(s) <= inverse.keys()]
+        expected = None
+        for f in maps:
+            own = [space.index[tuple(f[u] for u in s)] for s in shapes]
+            weights = [long_time_average_spectral(walk, space.active[ix], spec).weights for ix in own]
+            outside = np.ones(len(space.active), dtype=bool)
+            outside[own] = False
+            assert all(np.all(w[outside] == 0.0) for w in weights)
+            mine = np.array([w[own] for w in weights])
+            if expected is None:
+                expected = mine
+            assert mine.tobytes() == expected.tobytes()
 
 
 def test_large_residual_is_a_numerical_error(karate, monkeypatch):
@@ -1215,6 +1276,21 @@ def test_bound_below_average_karate_edges(karate_walk_n1, karate_spectrum_n1):
         for target in rng.sample(walk.space.active, 4):
             bound = amplitude_lower_bound(walk, source, target, spec)
             assert bound <= table[target] + 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bound_reads_only_its_two_blocks(karate, karate_walk_n1, n):
+    # the bound builds no m x m ``vectors``, and equals the sum over them
+    walk = karate_walk_n1 if n == 1 else walk_on(karate, n)
+    spec = unitary_spectrum(walk)  # its own, with no ``vectors`` built yet
+    space = walk.space
+    pairs = [(space.active[i], space.active[j]) for i in range(0, len(space.active), 11)
+             for j in range(0, len(space.active), 7)]
+    bounds = [amplitude_lower_bound(walk, x, y, spec) for x, y in pairs]
+    assert "vectors" not in spec.__dict__
+    for (x, y), bound in zip(pairs, bounds):
+        terms = spec.vectors[space.block(y)].mean(axis=0) * spec.vectors[space.block(x)].mean(axis=0).conj()
+        assert bound == float(sum(abs(terms[list(group)].sum()) ** 2 for group in spec.groups))
 
 
 # -- structural properties ---------------------------------------------------------------
