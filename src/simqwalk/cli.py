@@ -20,6 +20,8 @@ problems, 2 for I/O problems, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from functools import cache
@@ -251,6 +253,17 @@ def _detect_dot(complex_, partition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _canonical_simplices(community) -> list:
+    """A community of the partition file in canonical form: sorted as the rows of one int64 array when
+    its simplices are equal-length lists of distinct ints >= 1, else by :func:`canonical_simplex`."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if set(map(type, itertools.chain.from_iterable(community))) == {int}:
+            rows = np.sort(np.array(community, dtype=np.int64), axis=1)
+            if rows.size and (rows[:, 0] >= 1).all() and (np.diff(rows, axis=1) > 0).all():
+                return list(map(tuple, rows.tolist()))
+    return [canonical_simplex(simplex) for simplex in community]
+
+
 def _cmd_modularity(args) -> tuple[dict, list[str], list[list], str | None]:
     complex_ = _load_complex(args)
     try:
@@ -261,10 +274,7 @@ def _cmd_modularity(args) -> tuple[dict, list[str], list[list], str | None]:
     except UnicodeDecodeError as exc:
         raise OSError(f"{args.partition} is not UTF-8 text: {exc.reason}") from None
     try:
-        communities = [
-            [canonical_simplex(simplex) for simplex in community]
-            for community in doc["communities"]
-        ]
+        communities = [_canonical_simplices(community) for community in doc["communities"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(
             f"partition JSON must carry a 'communities' list of simplex lists: {exc}"

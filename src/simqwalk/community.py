@@ -12,6 +12,7 @@ current seed's community whenever its weight beats the flat baseline
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,32 +139,29 @@ def verify_symmetry(K: SimplicialComplex, n: int) -> SymmetryReport:
     return SymmetryReport(n=n, holds=holds, mapping=tuple(mapping))
 
 
-def _normalize_partition(K: SimplicialComplex, n: int, partition) -> CommunityPartition:
-    if isinstance(partition, CommunityPartition):
-        part = partition
-    else:
-        part = CommunityPartition(
-            n=n, communities=tuple(tuple(sorted(map(tuple, c))) for c in partition)
-        )
-    covered = {s for com in part.communities for s in com}
-    expected = set(K.simplices(n))
-    if covered != expected:
-        raise InvalidParameterError(
-            "partition does not cover the n-simplices exactly "
-            f"(missing {len(expected - covered)}, extraneous {len(covered - expected)})"
-        )
-    return part
+def _normalize_partition(K: SimplicialComplex, n: int, partition) -> np.ndarray:
+    """The community of every n-simplex, by position: the simplices of every
+    community are looked up at once in one map of the n-simplices, and each
+    must be found exactly once.  Otherwise an empty or a shared community is
+    named as :class:`CommunityPartition` names it, and a wrong cover is counted."""
+    given = [tuple(map(tuple, c)) for c in
+             (partition.communities if isinstance(partition, CommunityPartition) else partition)]
+    position = dict(zip(K.simplices(n), itertools.count()))
+    rank = np.fromiter(map(position.get, itertools.chain.from_iterable(given), itertools.repeat(-1)), np.int64)
+    sizes = list(map(len, given))
+    count = np.bincount(rank[rank >= 0], minlength=len(position))
+    if (count == 1).all() and len(rank) == len(position) and all(sizes):
+        return np.repeat(np.arange(len(given)), sizes)[np.argsort(rank)]
+    CommunityPartition(n, tuple(tuple(sorted(c)) for c in given))
+    raise InvalidParameterError(
+        "partition does not cover the n-simplices exactly "
+        f"(missing {(count == 0).sum()}, extraneous {(rank < 0).sum()})"
+    )
 
 
 def membership_matrix(K: SimplicialComplex, partition: CommunityPartition) -> np.ndarray:
     """0/1 matrix with one row per n-simplex and one column per community."""
-    part = _normalize_partition(K, partition.n, partition)
-    group = K.simplices(part.n)
-    w = np.zeros((len(group), len(part.communities)), dtype=np.int64)
-    labels = part.labels
-    for i, s in enumerate(group):
-        w[i, labels[s]] = 1
-    return w
+    return np.eye(len(partition.communities), dtype=np.int64)[_normalize_partition(K, partition.n, partition)]
 
 
 @dataclass(frozen=True)
@@ -189,10 +187,10 @@ def simplicial_modularity(K: SimplicialComplex, n: int, partition) -> Modularity
     Raises NoAdjacencyError when ``m`` is zero.
     """
     n = K._require_dim(n, low=1, too_low="modularity is defined for n >= 1")
-    part = _normalize_partition(K, n, partition)
-    labels = part.labels
-    internal = [0] * len(part.communities)
-    degree = [0] * len(part.communities)
+    label = _normalize_partition(K, n, partition)
+    labels = dict(zip(K.simplices(n), label.tolist()))
+    internal = [0] * (int(label.max()) + 1)
+    degree = [0] * len(internal)
     for s, nbrs in K.lower_neighbors(n).items():
         c = labels[s]
         degree[c] += len(nbrs)

@@ -21,6 +21,7 @@ All integer matrices are exact: no floating point enters this module.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cached_property, wraps
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -393,27 +394,30 @@ class SimplicialComplex:
 def clique_complex(edges: Iterable[Sequence[int]], max_dim: int = 4) -> SimplicialComplex:
     """The clique complex of an undirected graph over positive integer vertex
     ids: every clique of at most ``max_dim + 1 >= 2`` vertices, whatever the
-    order and repetition of the edges.  Each row of one size is extended by
-    the larger neighbours of its last vertex that are adjacent to all its
-    other vertices, so the rows come out in lexicographic order.
+    order and repetition of the edges (an int64 ``(E, 2)`` array is taken as
+    it is).  Each row of one size is extended by the larger neighbours of its
+    last vertex that are adjacent to all its other vertices, so the rows come
+    out in lexicographic order.
 
     Raises InvalidParameterError unless ``max_dim`` is an integer >= 1, and
     InvalidEdgeError for an edge that is not two integer ids, a self-loop or
     a non-positive id.
     """
     max_dim = _integer(max_dim, "max_dim", 1, f"max_dim must be >= 1, got {max_dim}")
-    edges = [tuple(e) for e in edges]
-    if {len(e) for e in edges} - {2} or {type(v) for e in edges for v in e} - {int}:
-        for e in edges:
-            if len(e) != 2 or not all(map(_integral, e)):
-                raise InvalidEdgeError(f"edge {e} does not join two integer vertex ids")
-        edges = [(int(u), int(v)) for u, v in edges]
-    pairs = np.array(edges).reshape(-1, 2)
-    if pairs.dtype != np.int64:  # ids beyond int64 stay Python ints, never floats
-        pairs = np.array(edges, dtype=object).reshape(-1, 2)
+    pairs = edges
+    if not (isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (2,)):
+        edges = [tuple(e) for e in edges]
+        if {len(e) for e in edges} - {2} or {type(v) for e in edges for v in e} - {int}:
+            for e in edges:
+                if len(e) != 2 or not all(map(_integral, e)):
+                    raise InvalidEdgeError(f"edge {e} does not join two integer vertex ids")
+            edges = [(int(u), int(v)) for u, v in edges]
+        pairs = np.array(edges).reshape(-1, 2)
+        if pairs.dtype != np.int64:  # ids beyond int64 stay Python ints, never floats
+            pairs = np.array(edges, dtype=object).reshape(-1, 2)
     bad = (pairs[:, 0] == pairs[:, 1]) | (pairs < 1).any(axis=1)
     if bad.any():
-        u, v = edges[int(np.argmax(bad))]
+        u, v = pairs[int(np.argmax(bad))].tolist()
         raise InvalidEdgeError(f"self-loop at vertex {u}" if u == v
                                else f"vertex ids must be >= 1, got ({u}, {v})")
     ids, position = np.unique(pairs, return_inverse=True)
@@ -442,9 +446,12 @@ def clique_complex(edges: Iterable[Sequence[int]], max_dim: int = 4) -> Simplici
 # -- edge-list ingestion --------------------------------------------------------
 
 
-def parse_edge_lines(lines: Iterable[str]) -> list[Edge]:
-    """Parse edge-list text: one edge per line, two whitespace-separated
-    positive integers; blank lines and lines starting with '#' are ignored."""
+# Edge-list bytes: 1 an ASCII digit, 2 an ASCII byte ``str.split`` splits at, 0 any other
+_BYTE_CLASS = np.array([chr(b).isdigit() or 2 * chr(b).isspace() for b in range(128)] + [0] * 128, np.int8)
+
+
+def _scan(lines: Iterable[str]) -> list[Edge]:
+    """The edges of ``lines``, one line at a time: the first bad one raises InvalidEdgeError."""
     out: list[Edge] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -465,13 +472,38 @@ def parse_edge_lines(lines: Iterable[str]) -> list[Edge]:
     return out
 
 
-def read_edge_list(path) -> list[Edge]:
-    """Read an edge list from a text file (see :func:`parse_edge_lines`).
+def _edges(text: str) -> np.ndarray:
+    """The ``(E, 2)`` edges of edge-list ``text``: with comment lines blanked, text of ASCII
+    digits and whitespace is checked and converted at once, any other read by :func:`_scan`."""
+    text = re.sub(r"(?m)^[^\S\n]*#.*$", "", text)  # lines whose first non-blank is "#"
+    byte = np.frombuffer(text.encode(errors="replace"), np.uint8)
+    kind, line = _BYTE_CLASS[byte], np.cumsum(byte == 10)
+    start, stop = np.flatnonzero(np.diff(kind == 1, prepend=False, append=False)).reshape(-1, 2).T
+    count, size = np.bincount(line[start]), stop - start
+    if kind.all() and (count[count > 0] == 2).all() and (size <= 18).all():
+        at = np.flatnonzero(kind == 1)  # the digits, token by token
+        edges = np.add.reduceat((byte[at] - 48) * 10 ** (np.repeat(stop, size) - at - 1),
+                                np.cumsum(size) - size).reshape(-1, 2)
+        if (edges >= 1).all() and (edges[:, 0] != edges[:, 1]).all():
+            return edges
+    edges = np.array(_scan(text.split("\n")), dtype=object).reshape(-1, 2)
+    return edges.astype(np.int64) if (edges < 2**63).all() else edges
+
+
+def parse_edge_lines(lines: Iterable[str]) -> list[Edge]:
+    """Parse edge-list text: one edge per line, two whitespace-separated
+    positive integers; blank lines and lines starting with '#' are ignored."""
+    return list(map(tuple, _edges("\n".join(map(str.rstrip, lines))).tolist()))
+
+
+def read_edge_list(path) -> np.ndarray:
+    """Read an edge-list file (see :func:`parse_edge_lines`) into an ``(E, 2)``
+    int64 array in file order (an object array for ids beyond int64).
 
     Raises OSError when the file cannot be read or is not UTF-8 text.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_edge_lines(fh)
+            return _edges(fh.read())
         except UnicodeDecodeError as exc:
             raise OSError(f"{path} is not UTF-8 text: {exc.reason}") from None

@@ -141,14 +141,14 @@ class WalkSpace:
         """Hilbert-space dimension: the number of arcs."""
         return len(self.target)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Lower-neighborhood size of every active simplex."""
+        """Lower-neighborhood size of every active simplex.  Cached."""
         return np.diff(self.indptr)
 
-    @property
+    @cached_property
     def source(self) -> np.ndarray:
-        """Position in ``active`` of every arc's source."""
+        """Position in ``active`` of every arc's source.  Cached."""
         return np.repeat(np.arange(len(self.active)), self.degrees)
 
     @property
@@ -680,11 +680,11 @@ def _reverse_arc_entries(space: WalkSpace, pairs: np.ndarray) -> tuple[np.ndarra
     rows ``2p + (0, 0, 1, 1)`` and columns ``2q + (0, 1, 0, 1)`` (s: +1 on a
     pair's first arc, -1 on its second; r is ``reverse[a]``)."""
     m = 2 * pairs.shape[1]
-    pair = np.empty(space.m, dtype=np.int64)
-    pair[pairs] = np.arange(m // 2)
-    sign = np.where(np.arange(space.m) < space.reverse, 1.0, -1.0)
-    own = np.unique(space.source[pairs])
-    starts, degrees = space.indptr[own], space.degrees[own]
+    # position a holds arc pairs.flat[order[a]]: the sources' blocks one after another
+    order = np.argsort(pairs, axis=None)
+    pair, sign = order % (m // 2), np.where(order < m // 2, 1.0, -1.0)
+    starts = np.flatnonzero(np.diff(space.source[pairs.ravel()[order]], prepend=-1))
+    degrees = np.diff(starts, append=m)
     blocks = [np.add.outer(starts[degrees == k], np.arange(k)) for k in np.unique(degrees).tolist()]
     a = np.concatenate([np.repeat(block, block.shape[1], axis=1).ravel() for block in blocks])
     b = np.concatenate([np.tile(block, block.shape[1]).ravel() for block in blocks])

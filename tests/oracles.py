@@ -15,8 +15,10 @@ group projectors instead of a real symmetric ``eigh`` in the reverse-arc
 basis with one all-seed product, the reverse-arc operator from sparse
 products with the step matrix instead of coin entries placed on pairs of
 reverse-arc columns, phase groups by a walk over the sorted phases instead
-of one cut of their gaps, and recruitment by a test of one candidate at a
-time instead of one mask over the weight array.
+of one cut of their gaps, recruitment by a test of one candidate at a
+time instead of one mask over the weight array, edge lists by a loop over
+their lines instead of one pass over the bytes of the whole text, and
+partitions by sets of simplex tuples instead of a rank search per community.
 """
 
 import itertools
@@ -26,6 +28,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from simqwalk import (
+    CommunityPartition,
+    InvalidEdgeError,
+    InvalidParameterError,
     build_walk_space,
     finite_time_average,
     long_time_average_spectral,
@@ -54,6 +59,29 @@ class UnionFind:
         for x in self.parent:
             out.setdefault(self.find(x), []).append(x)
         return [sorted(g) for g in out.values()]
+
+
+def parse_edge_lines(lines):
+    """Parse edge-list text: one edge per line, two whitespace-separated
+    positive integers; blank lines and lines starting with '#' are ignored."""
+    out = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InvalidEdgeError(f"line {lineno}: expected two vertex ids, got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InvalidEdgeError(f"line {lineno}: non-integer vertex in {line!r}") from None
+        if u < 1 or v < 1:
+            raise InvalidEdgeError(f"line {lineno}: vertex ids must be >= 1")
+        if u == v:
+            raise InvalidEdgeError(f"line {lineno}: self-loop at vertex {u}")
+        out.append((u, v))
+    return out
 
 
 def cliques_brute_force(edges, max_dim):
@@ -203,6 +231,23 @@ def modularity_dense(K, n, communities):
             w[index[tuple(s)], c] = 1.0
     modularity_matrix = adjacency - np.outer(counts, counts) / m
     return np.diag(w.T @ modularity_matrix @ w) / m
+
+
+def partition_labels(K, n, communities):
+    """The community of every n-simplex, by position, from sets of simplex
+    tuples; raises InvalidParameterError for an empty or shared community
+    (through CommunityPartition) or a partition that does not cover the
+    n-simplices exactly."""
+    part = CommunityPartition(n=n, communities=tuple(tuple(sorted(map(tuple, c))) for c in communities))
+    covered = {s for com in part.communities for s in com}
+    expected = set(K.simplices(n))
+    if covered != expected:
+        raise InvalidParameterError(
+            "partition does not cover the n-simplices exactly "
+            f"(missing {len(expected - covered)}, extraneous {len(covered - expected)})"
+        )
+    labels = part.labels
+    return [labels[s] for s in K.simplices(n)]
 
 
 def boundary_dense(K, n):

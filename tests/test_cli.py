@@ -395,6 +395,80 @@ def test_self_loop_input_rejected(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 x\n", "line 1: non-integer vertex in '1 x'"),
+    ("1 2\n1 2.0\n", "line 2: non-integer vertex in '1 2.0'"),
+    ("# header\n1\n", "line 2: expected two vertex ids, got '1'"),
+    ("1 2 3\n", "line 1: expected two vertex ids, got '1 2 3'"),
+    ("1 2 # note\n", "line 1: expected two vertex ids, got '1 2 # note'"),
+    ("1 2\n0 1\n", "line 2: vertex ids must be >= 1"),
+    ("1 2\n\n2 -3\n", "line 3: vertex ids must be >= 1"),
+    ("1 2\r\n\r\n3 3\r\n", "line 3: self-loop at vertex 3"),
+    ("", "empty complex"),
+    ("# nothing\n\n", "empty complex"),
+], ids=["word", "float", "one-id", "three-ids", "trailing-comment", "zero", "negative", "self-loop",
+        "empty", "comments-only"])
+def test_malformed_edge_file_message(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text.encode())
+    assert main(["build", str(bad)]) == 1
+    assert capsys.readouterr().err == f"simqwalk: {message}\n"
+
+
+_NOT_A_PARTITION = "partition JSON must carry a 'communities' list of simplex lists: "
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "partition file is not valid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    ("[1, 2]", _NOT_A_PARTITION + "list indices must be integers or slices, not str"),
+    ("{}", _NOT_A_PARTITION + "'communities'"),
+    ('{"communities": 5}', _NOT_A_PARTITION + "'int' object is not iterable"),
+    ('{"communities": [[[1, 2], [true, 3]]]}',
+     _NOT_A_PARTITION + "vertex ids must be integers >= 1, got (True, 3)"),
+    ('{"communities": [[[1, "2"]]]}', _NOT_A_PARTITION + "vertex ids must be integers >= 1, got (1, '2')"),
+    ('{"communities": [[[0, 1]]]}', _NOT_A_PARTITION + "vertex ids must be integers >= 1, got (0, 1)"),
+    ('{"communities": [[[[1], 2]]]}', _NOT_A_PARTITION + "vertex ids must be integers >= 1, got ([1], 2)"),
+    ('{"communities": [[[1, 2]], [[3, 3]]]}', _NOT_A_PARTITION + "repeated vertex 3 in (3, 3)"),
+    ('{"communities": [[[]]]}', _NOT_A_PARTITION + "a simplex needs at least one vertex"),
+    ('{"communities": [[[1, 2, 3]]]}',
+     "partition does not cover the n-simplices exactly (missing 4, extraneous 1)"),
+    ('{"communities": [[[1, 2], [1, 3]], [[2, 1], [2, 3], [3, 4]]]}', "(1, 2) appears in two communities"),
+    ('{"communities": [[[1, 2], [2, 1], [1, 3], [2, 3], [3, 4]]]}', "(1, 2) appears in two communities"),
+    ('{"communities": [[[1, 2], [1, 3]], [], [[1, 2]]]}', "empty community"),
+    ('{"communities": [[[1, 3], [1, 3]], []]}', "(1, 3) appears in two communities"),
+    ('{"communities": [[[1, 2], [1, 3], [2, 3], [3, 4], [5, 6]], [[6, 5]]]}',
+     "(5, 6) appears in two communities"),
+    ('{"communities": [[[1, 2], [1, 3], [2, 3]], [[3, 5]]]}',
+     "partition does not cover the n-simplices exactly (missing 1, extraneous 1)"),
+    ('{"communities": [[[1, 2], [1, 3]]]}',
+     "partition does not cover the n-simplices exactly (missing 2, extraneous 0)"),
+    ('{"communities": [[[1, 2], [1, 3], [2, 3]], [[3, 100000000000000000000]]]}',
+     "partition does not cover the n-simplices exactly (missing 1, extraneous 1)"),
+], ids=["broken", "list", "no-key", "not-a-list", "boolean", "string", "zero", "nested", "repeated-vertex",
+        "no-vertex", "wrong-dimension", "shared", "twice-in-one", "empty-before-shared",
+        "shared-before-empty", "extraneous-shared", "missing-and-extraneous", "missing", "wide-id"])
+def test_malformed_partition_file_message(tmp_path, capsys, text, message):
+    edges, part = tmp_path / "edges.txt", tmp_path / "part.json"
+    edges.write_text("1 2\n1 3\n2 3\n3 4\n")
+    part.write_text(text)
+    assert main(["modularity", "--dim", "1", "--partition", str(part), str(edges)]) == 1
+    assert capsys.readouterr().err == f"simqwalk: {message}\n"
+
+
+def test_partition_file_takes_integral_floats_and_any_vertex_order(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 2\n1 3\n2 3\n3 4\n")
+    outputs = []
+    for text in ('{"communities": [[[1, 2], [1, 3], [2, 3]], [[3, 4]]]}',
+                 '{"communities": [[[2.0, 1.0], [3, 1], [2, 3]], [[4, 3]]]}'):
+        part = tmp_path / "part.json"
+        part.write_text(text)
+        assert main(["modularity", "--dim", "1", "--partition", str(part), str(edges)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
 def test_spectrum_rejects_non_finite_tolerance(edges_file, capsys, tolerance):
     assert main(["spectrum", "--dim", "1", "--tolerance", tolerance, str(edges_file)]) == 1

@@ -178,6 +178,54 @@ def test_modularity_requires_full_cover(karate):
         simplicial_modularity(karate, 2, [TRIANGLE_COMMUNITIES[0]])
 
 
+def _altered_partition(K, rng):
+    """A random partition of some dimension's simplices, then one or two of:
+    a simplex dropped, repeated, reversed, widened, out of the complex or
+    written with other id types, an empty community, or a community given
+    as an int64 array of rows."""
+    n = rng.choice([1, 2, 3])
+    communities = [list(c) for c in _random_partition(K.simplices(n), rng.randint(1, 5), rng)]
+    for _ in range(rng.randint(0, 2)):
+        c = rng.choice(communities)
+        i = rng.randrange(len(c)) if c else 0
+        change = rng.randrange(7)
+        if change == 0 and c:
+            del c[i]
+        elif change == 1 and c:
+            rng.choice(communities).append(c[i])
+        elif change == 2 and c:
+            c[i] = c[i][::-1]
+        elif change == 3 and c:
+            c[i] = c[i] + (99,)
+        elif change == 4:
+            c.append(tuple(range(90, 92 + n - 1)))
+        elif change == 5 and c:
+            c[i] = rng.choice([tuple(map(float, c[i])), tuple(map(np.int64, c[i])), list(c[i])])
+        elif change == 6:
+            communities.insert(rng.randrange(len(communities) + 1), [])
+    plain = lambda c: c and {type(v) for s in c for v in s} == {int} and len(set(map(len, c))) == 1
+    return n, [np.array(c) if plain(c) and rng.random() < 0.5 else c for c in communities]
+
+
+def test_partition_labels_match_the_set_oracle(karate):
+    rng = random.Random(2402)
+    outcomes = set()
+    for trial in range(400):
+        n, communities = _altered_partition(karate, rng)
+        try:
+            expected = ("labels", oracles.partition_labels(karate, n, communities))
+        except InvalidParameterError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("labels", simqwalk.community._normalize_partition(karate, n, communities).tolist())
+        except InvalidParameterError as exc:
+            got = ("error", str(exc))
+        assert got == expected, (trial, n, communities)
+        kinds = ("labels", "empty community", "appears in two communities", "does not cover")
+        outcomes.add(next(kind for kind in kinds if kind in str(expected)))
+    assert outcomes == set(kinds)
+
+
 def test_partition_rejects_overlap():
     with pytest.raises(InvalidParameterError):
         CommunityPartition(n=1, communities=(((1, 2),), ((1, 2), (2, 3))))

@@ -27,6 +27,7 @@ from simqwalk import (
     karate_club_edges,
     laplacian_spectrum,
     parse_edge_lines,
+    read_edge_list,
     simplicial_modularity,
     step_operator,
     transition_probability,
@@ -492,6 +493,71 @@ def test_parse_edge_lines_skips_comments_and_blanks():
 def test_parse_edge_lines_rejects_malformed(bad):
     with pytest.raises(InvalidEdgeError):
         parse_edge_lines([bad])
+
+
+# Pieces of seeded edge files: ids in the forms int() reads, the whitespace
+# str.split() splits at (line breaks to str.splitlines() but not to a file),
+# and every kind of bad line.
+_IDS = ["1", "7", "42", "007", "+3", "1_000", "\u0663", "\uff17\uff10", str(2**63 - 1), str(2**63),
+        str(10**20 + 3), "9" * 18, "1" + "0" * 18]
+_BLANKS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+_BAD = ["1", "1 2 3", "a b", "1.5 2", "0 2", "2 -3", "5 5", "007 7", "1__0 2", "_1 2", "1_ 2",
+        "1 2 # comment", "\ufeff1 2", "1\u200b 2", "-0 1", "+-1 2", "1 " + "9" * 5000, "\x00 1 2"]
+
+
+def _edge_text(rng) -> str:
+    lines = []
+    for _ in range(rng.randrange(12)):
+        pick = rng.random()
+        if pick < 0.15:
+            lines.append(rng.choice(["", " ", "\t", "\x0c"]))
+        elif pick < 0.3:
+            lines.append(rng.choice(["", " ", "\t"]) + "#" + rng.choice(["", " 1 2", " x y z", "\u00e9"]))
+        elif pick < 0.93:
+            u, v = rng.sample(_IDS, 2) if rng.random() < 0.5 else map(str, rng.sample(range(1, 60), 2))
+            pad = [rng.choice(_BLANKS) if rng.random() < 0.3 else " \t"[rng.random() < 0.3] for _ in range(3)]
+            lines.append(rng.choice(["", pad[0]]) + u + pad[1] + v + rng.choice(["", pad[2]]))
+        else:
+            lines.append(rng.choice(_BAD))
+    ends = [rng.choice(["\n", "\n", "\r\n", "\r"]) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))[: None if rng.random() < 0.8 else -1]
+
+
+def _outcome(parse, source):
+    try:
+        edges = parse(source)
+    except InvalidEdgeError as exc:
+        return "error", str(exc)
+    return "edges", [tuple(e) for e in (edges.tolist() if isinstance(edges, np.ndarray) else edges)]
+
+
+def test_edge_parsers_match_the_line_oracle(tmp_path):
+    rng = random.Random(2401)
+    kinds = set()
+    for trial in range(400):
+        text = _edge_text(rng)
+        path = tmp_path / f"edges{trial}.txt"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as fh:
+            expected = _outcome(oracles.parse_edge_lines, fh)
+        kinds.add(expected[0])
+        assert _outcome(read_edge_list, path) == expected, (trial, text)
+        with open(path, encoding="utf-8") as fh:
+            assert _outcome(parse_edge_lines, fh) == expected, (trial, text)
+        lines = text.splitlines()
+        assert _outcome(parse_edge_lines, lines) == _outcome(oracles.parse_edge_lines, lines), (trial, text)
+        if expected[0] == "edges":
+            edges = read_edge_list(path)
+            assert edges.shape == (len(expected[1]), 2)
+            wide = any(v >= 2**63 for e in expected[1] for v in e)
+            assert edges.dtype == (object if wide else np.int64), (trial, text)
+            assert all(type(v) is int for v in edges.ravel().tolist())
+    assert kinds == {"error", "edges"}
+
+
+def test_parse_edge_lines_names_a_lone_surrogate():
+    with pytest.raises(InvalidEdgeError, match=re.escape("line 2: non-integer vertex in '\\ud800 1'")):
+        parse_edge_lines(["1 2", "\ud800 1"])
 
 
 def test_bundled_karate_edges():
