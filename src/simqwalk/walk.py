@@ -31,8 +31,8 @@ share a cosine inside clusters of near-equal eigenvalues.  Each coin entry
 lands on the 2 x 2 reverse-arc columns of two pairs, so the dense H is one
 ``bincount`` over the coin blocks, with neither W nor the sparse step.  U
 never leaves a lower-connected component, so H and every eigenphase
-projector split over them: each component has its own ``eigh``, check, phase
-groups and group masses, and no group, basis entry or weight spans two.
+projector split over them: each component has its own ``eigh``, eigenbasis
+block, check, phase groups and group masses, and no group or weight spans two.
 Every eigenpair is checked through the coin alone: ``psi = W r`` satisfies
 ``S psi = conj(psi)``, so ``r^T M r = psi^T C psi`` and the residual
 ``|C psi - lambda conj(psi)|`` equals ``|Mr - lambda r|``; the check runs
@@ -605,19 +605,25 @@ class TransitionTable:
 
 
 def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIME_STEPS) -> TransitionTable:
-    """Average the transition weights over times ``1..time_steps``."""
+    """Average the transition weights over times ``1..time_steps``.  Raises
+    InvalidParameterError, before any step, for a horizon whose error bound
+    reaches 1, the norm of the state it bounds."""
     time_steps = _integer(time_steps, "time_steps", 1)
     space = walk.space
     sx = space.require_active(source)
+    # a step's real 2k-term coin products round a unit state by about
+    # k**1.5 eps (k: largest coin); at T = 100 on karate the state error
+    # against dense powers stays about 1,000 times below this sum (past
+    # 2**53 steps it exceeds 1 anyway: the cap only keeps it a float)
+    error = min(time_steps, 2**53) * float(space.degrees.max()) ** 1.5 * _EPS
+    if error >= 1:
+        raise InvalidParameterError(f"time_steps {time_steps} is too long: its rounding error "
+                                    f"bound reaches 1, the norm of the state")
     d_source, component, psi = _source_state(walk, sx)
     total = np.zeros(len(component.source))
     _evolution(component, psi, time_steps, lambda t, mass: np.add(total, mass, out=total))
     total = np.bincount(component.source, total, minlength=len(space.active))
     mean = total / (time_steps * d_source * space.degrees)
-    # a step's real 2k-term coin products round a unit state by about
-    # k**1.5 eps (k: largest coin); at T = 100 on karate the state error
-    # against dense powers stays about 1,000 times below this sum
-    error = time_steps * float(space.degrees.max()) ** 1.5 * _EPS
     return TransitionTable(sx, f"finite(T={time_steps})", mean, error, space)
 
 
@@ -625,28 +631,36 @@ def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIM
 class UnitarySpectrum:
     """Eigenphases and orthonormal eigenvectors of the step operator.
 
-    ``basis`` holds them as real columns in the reverse-arc basis of the arc
-    ``pairs``, component by component; ``vectors``, in the arc basis, is
-    built on first use.  ``groups`` clusters eigenvector indices of equal
-    phase (up to a circular tolerance) within one component; ``masses[c] @
-    masses[c]^dagger`` sums ``tr(G_x G_y)`` over the groups of component c,
-    one row per active simplex of c.  ``error`` bounds each eigenvector's
-    error: residual plus m roundings; ``space`` is the walk's space.
+    ``basis[c]`` holds component c's eigenvectors as the real columns of one
+    ``(m_c, m_c)`` block in the reverse-arc basis of its arc ``pairs`` (sorted
+    by component); ``vectors``, in the arc basis, is built on first use.
+    ``groups`` clusters eigenvector indices of equal phase (up to a circular
+    tolerance) within one component; ``masses[c] @ masses[c]^dagger`` sums
+    ``tr(G_x G_y)`` over the groups of component c, one row per active
+    simplex of c.  ``error`` bounds each eigenvector's error: residual plus m
+    roundings; ``space`` is the walk's space.
     """
 
     phases: np.ndarray
     groups: tuple[tuple[int, ...], ...]
-    basis: np.ndarray = field(repr=False)
+    basis: tuple[np.ndarray, ...] = field(repr=False)
     pairs: np.ndarray = field(repr=False)
     masses: tuple[np.ndarray, ...] = field(repr=False)
     error: float
     space: WalkSpace = field(repr=False)
 
     def _rows(self, arcs: np.ndarray) -> np.ndarray:
-        """The rows ``arcs`` of ``vectors``, from the basis rows of their pairs."""
+        """The rows ``arcs`` of ``vectors``: each from its pair's rows of its
+        component's block, and zero in every other component's columns."""
         second, pair = np.divmod(np.argsort(self.pairs, axis=None)[arcs], self.pairs.shape[1])
-        sym, anti = self.basis[2 * pair + np.arange(2)[:, None]] / np.sqrt(2)
-        return np.where(second[:, None] == 1, sym - 1j * anti, sym + 1j * anti)
+        component = self.space.component[self.space.source[arcs]]
+        starts = np.cumsum([0] + [len(block) for block in self.basis])
+        rows = np.zeros((len(arcs), self.space.m), dtype=np.complex128)
+        for c in np.unique(component).tolist():
+            own, columns = component == c, slice(starts[c], starts[c + 1])
+            sym, anti = self.basis[c][2 * pair[own] - columns.start + np.arange(2)[:, None]] / np.sqrt(2)
+            rows[own, columns] = np.where(second[own, None] == 1, sym - 1j * anti, sym + 1j * anti)
+        return rows
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -785,22 +799,21 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     """Spectral decomposition of the step operator from one real symmetric
     ``eigh`` per lower-connected component in the reverse-arc basis (module
     docstring).  With the pairs sorted stably by component, each component
-    is taken start to finish on its own pairs: its eigenvectors, written as
-    one diagonal block of the column-major ``basis``, their check, their
-    phase groups and its group masses.  Raises NoAdjacencyError on a walk
-    without arcs, and NumericalError when the peak exceeds physical memory,
-    when an allocation fails anyway, or when a residual exceeds
-    ``RESIDUAL_TOL``.  The peak is the finished blocks beside one ``eigh``
-    (H, LAPACK's copy, its ``2 m_c**2`` workspace and the eigenvectors),
-    ``8 sum(m_c**2) + 40 m_c**2`` bytes, below ``16 m**2 + 24 m_c**2`` for m_c
-    the largest component's arcs: ``basis`` and the arc frame (the component
-    sizes come from the space) are built after the first ``eigh``, and the
-    zeros of ``basis`` across components are never written."""
+    is taken start to finish on its own pairs: its eigenvectors, kept as its
+    own block of ``basis``, their check, their phase groups and its group
+    masses.  Raises NoAdjacencyError on a walk without arcs, and
+    NumericalError when the peak exceeds physical memory, when an
+    allocation fails anyway, or when a residual exceeds ``RESIDUAL_TOL``.
+    The peak is the blocks kept so far beside one ``eigh`` (H, LAPACK's
+    copy, its ``2 m_c**2`` workspace and the eigenvectors, which become the
+    component's block), at most ``8 sum(m_c**2) + 32 max(m_c)**2`` bytes
+    over the components' arc counts m_c."""
     space, m = walk.space, walk.space.m
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {space.n}")
-    stops = np.cumsum(np.bincount(space.component[space.source])).tolist()
-    need = 16 * m * m + 24 * int(np.diff(stops, prepend=0).max()) ** 2
+    sizes = np.bincount(space.component[space.source])
+    stops = np.cumsum(sizes).tolist()
+    need = 8 * int(sizes @ sizes) + 32 * int(sizes.max()) ** 2
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise NumericalError(f"the spectrum of {m} arcs needs {need / 2**30:.1f} GiB, "
@@ -808,24 +821,22 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     first = np.flatnonzero(np.arange(m) < space.reverse)
     first = first[np.argsort(space.component[space.source[first]], kind="stable")]
     pairs = np.stack([first, space.reverse[first]])
-    basis, phases, residuals, groups, masses = None, np.empty(m), np.empty(m), [], []
+    basis, phases, residuals, groups, masses = [], np.empty(m), np.empty(m), [], []
     try:
         for c, part in enumerate(map(slice, [0] + stops[:-1], stops)):
             own = pairs[:, part.start // 2 : part.stop // 2]
-            block = _real_eigenvectors(part.stop - part.start, *_reverse_arc_entries(space, own))
-            basis = np.zeros((m, m), order="F") if basis is None else basis
-            basis[part, part] = block
-            del block  # before the next eigh
-            eigenvalues, residuals[part] = _coin_eigenpairs(walk, c, own, basis[part, part])
+            basis.append(_real_eigenvectors(part.stop - part.start, *_reverse_arc_entries(space, own)))
+            eigenvalues, residuals[part] = _coin_eigenpairs(walk, c, own, basis[c])
             if residuals[part].max() > RESIDUAL_TOL:
                 raise NumericalError(f"eigenpair residual {residuals[part].max():.1e} exceeds {RESIDUAL_TOL:g}")
             phases[part] = np.mod(np.angle(eigenvalues), 2 * np.pi)
             local = _group_phases(phases[part], DEFAULT_PHASE_TOL)
             groups.extend(tuple(part.start + i for i in group) for group in local)
-            masses.append(_group_masses(space, own, basis[part, part], local))
+            masses.append(_group_masses(space, own, basis[c], local))
     except MemoryError:
         raise NumericalError(f"the spectrum of {m} arcs ran out of memory") from None
-    return UnitarySpectrum(phases, tuple(groups), basis, pairs, tuple(masses), residuals.max() + m * _EPS, space)
+    return UnitarySpectrum(phases, tuple(groups), tuple(basis), pairs, tuple(masses),
+                           residuals.max() + m * _EPS, space)
 
 
 def _spectrum_of(walk: UnitaryWalk, spectrum: UnitarySpectrum | None) -> UnitarySpectrum:
@@ -868,9 +879,11 @@ def amplitude_lower_bound(
     group.  The value never exceeds the spectral long-time average.
     """
     space = walk.space
-    bx = space.block(space.require_active(source))
-    by = space.block(space.require_active(target))
+    sx, sy = space.require_active(source), space.require_active(target)
+    bx, by = space.block(sx), space.block(sy)
     spec = _spectrum_of(walk, spectrum)
+    if space.component[space.index[sx]] != space.component[space.index[sy]]:
+        return 0.0  # no eigenvector has amplitude on both
     # <y|v_k><v_k|x> for every eigenvector, summed within each group
     x, y = (spec._rows(np.arange(block.start, block.stop)).mean(axis=0) for block in (bx, by))
     terms = y * x.conj()

@@ -536,6 +536,18 @@ def test_non_positive_time_steps_rejected(edges_file, capsys, command, method, s
     assert capsys.readouterr().err == "simqwalk: time_steps must be >= 1\n"
 
 
+@pytest.mark.parametrize("command", [["walk", "--source", "1,2"], ["detect"]])
+def test_horizon_past_its_error_bound_exits_1_at_once(edges_file, capsys, monkeypatch, command):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolution started")
+
+    monkeypatch.setattr(simqwalk.walk, "_evolution", no_evolution)
+    argv = command + ["--dim", "1", "--time-steps", str(10**20), str(edges_file)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"simqwalk: time_steps {10**20} is too long: its rounding "
+                                       "error bound reaches 1, the norm of the state\n")
+
+
 @pytest.mark.parametrize("method", ["finite", "spectral"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_karate_detect_matches_bench_goldens(edges_file, capsys, n, method):
@@ -543,6 +555,29 @@ def test_karate_detect_matches_bench_goldens(edges_file, capsys, n, method):
     argv = ["detect", "--dim", str(n), "--method", method, "--time-steps", "100", str(edges_file)]
     assert main(argv) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+_RELABELINGS = {"19-digit": lambda v: v + 10**18, "beyond-int64": lambda v: v * 10**19 + 7}
+
+
+@pytest.mark.parametrize("method", ["finite", "spectral"])
+@pytest.mark.parametrize("relabel", list(_RELABELINGS))
+def test_karate_detect_under_order_preserving_relabeling(tmp_path, capsys, relabel, method):
+    # ids that keep the vertex order give the golden partition, mapped, and
+    # the same modularity, through the edge-list parser and the clique build
+    label = _RELABELINGS[relabel]
+    edges_file = tmp_path / "relabelled.txt"
+    edges_file.write_text("".join(f"{label(u)} {label(v)}\n" for u, v in karate_club_edges()))
+    for n in range(1, 5):
+        golden = json.loads((ROOT / "bench" / "golden" / f"karate_detect_n{n}_{method}.json").read_text())
+        assert main(["detect", "--dim", str(n), "--method", method, "--time-steps", "100",
+                     str(edges_file)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        mapped = [[[label(v) for v in simplex] for simplex in community] for community in golden["communities"]]
+        assert doc["communities"] == mapped
+        assert doc["modularity"] == golden["modularity"]
+        assert {k: v for k, v in doc.items() if k != "communities"} == {
+            k: v for k, v in golden.items() if k != "communities"}
 
 
 # the geq threshold recruits weights within the error band of 1/m, so these

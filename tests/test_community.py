@@ -31,6 +31,25 @@ from reference_karate import (
 # -- exact connectivity oracles ----------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_exact_communities_invariant_under_vertex_permutation(seed):
+    K = random_clique_complex(seed)
+    vertices = [v for (v,) in K.simplices(0)]
+    shuffled = vertices[:]
+    random.Random(seed).shuffle(shuffled)
+    label = dict(zip(vertices, shuffled))
+    permuted = clique_complex([(label[u], label[v]) for u, v in K.simplices(1)], max_dim=3)
+
+    def mapped(partition):
+        return {frozenset(tuple(sorted(label[v] for v in s)) for s in com) for com in partition}
+
+    assert permuted.max_dim == K.max_dim
+    for n in range(K.max_dim + 1):
+        assert exact_up_communities(permuted, n).as_sets() == mapped(exact_up_communities(K, n))
+        if n:
+            assert exact_down_communities(permuted, n).as_sets() == mapped(exact_down_communities(K, n))
+
+
 def test_bowtie_triangles_are_separate(bowtie):
     part = exact_down_communities(bowtie, 2)
     assert part.as_sets() == {frozenset({(1, 2, 3)}), frozenset({(3, 4, 5)})}
@@ -159,13 +178,20 @@ def test_modularity_matches_dense_oracle(karate, n):
     }[n]
     rng = random.Random(n)
     simplices = karate.simplices(n)
-    partitions = [reference] + [_random_partition(simplices, g, rng) for g in (1, 2, 3, 7)]
-    for communities in partitions:
-        report = simplicial_modularity(karate, n, communities)
-        expected = oracles.modularity_dense(karate, n, communities)
-        assert report.arc_count == karate.arc_count(n)
-        assert np.allclose(report.contributions, expected, rtol=1e-12, atol=1e-15)
-        assert report.modularity == pytest.approx(expected.sum(), rel=1e-12, abs=1e-15)
+    cases = [(karate, [reference] + [_random_partition(simplices, g, rng) for g in (1, 2, 3, 7)])]
+    # and random partitions of the seeded random complexes at dimension n
+    for seed in range(1, 21):
+        K = random_clique_complex(seed)
+        if n <= K.max_dim and K.arc_count(n):
+            cases.append((K, [_random_partition(K.simplices(n), g, rng) for g in (1, 2, 3, 7)]))
+    assert len(cases) == 1 + {1: 20, 2: 20, 3: 7, 4: 0}[n]
+    for K, partitions in cases:
+        for communities in partitions:
+            report = simplicial_modularity(K, n, communities)
+            expected = oracles.modularity_dense(K, n, communities)
+            assert report.arc_count == K.arc_count(n)
+            assert np.allclose(report.contributions, expected, rtol=1e-12, atol=1e-15)
+            assert report.modularity == pytest.approx(expected.sum(), rel=1e-12, abs=1e-15)
 
 
 def test_modularity_requires_adjacency(bowtie):

@@ -577,6 +577,29 @@ def test_finite_average_path_even_horizon(path_complex):
     assert table.estimator == "finite(T=100)"
 
 
+def test_finite_horizon_is_bounded_by_its_own_error(karate_walk_n1, monkeypatch):
+    # the reported error T k**1.5 eps (k: largest coin) bounds a unit state's
+    # error; the first T at which it reaches 1 is refused before any step
+    walk = karate_walk_n1
+    coin = float(walk.space.degrees.max()) ** 1.5
+    limit = int(1 / (coin * walk_module._EPS))
+    while limit * coin * walk_module._EPS < 1:
+        limit += 1
+    while (limit - 1) * coin * walk_module._EPS >= 1:
+        limit -= 1
+    assert finite_time_average(walk, (1, 2), 100).error == 100 * coin * walk_module._EPS
+
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolution started")
+
+    monkeypatch.setattr(walk_module, "_evolution", no_evolution)
+    for steps in (limit, 10**20, 10**400):
+        with pytest.raises(InvalidParameterError, match=f"time_steps {steps} is too long"):
+            finite_time_average(walk, (1, 2), steps)
+    with pytest.raises(AssertionError, match="evolution started"):
+        finite_time_average(walk, (1, 2), limit - 1)
+
+
 def test_finite_average_path_t3(path_complex):
     walk = walk_on(path_complex)
     table = finite_time_average(walk, (1, 2), time_steps=3)
@@ -646,9 +669,10 @@ def test_each_seed_evolves_exactly_on_its_own_component(karate, case):
     assert space.component.max() == 1
     horizon = 6
     spec = unitary_spectrum(walk)
-    # every eigenvector lives on the reverse-arc rows of one component
-    row_component = np.repeat(space.component[space.source[spec.pairs[0]]], 2)
-    assert all(len(set(row_component[column != 0].tolist())) == 1 for column in spec.basis.T)
+    # one block per component, and every eigenvector lives on the arcs of one component
+    arc_component = space.component[space.source]
+    assert [len(block) for block in spec.basis] == np.bincount(arc_component).tolist()
+    assert all(len(set(arc_component[column != 0].tolist())) == 1 for column in spec.vectors.T)
     for c in (0, 1):
         outside = space.component != c
         source = space.active[np.flatnonzero(~outside)[0]]
@@ -961,7 +985,7 @@ def _check_group_masses(walk):
     groups = tuple(tuple(p.start + i for i in g) for p, own in zip(_parts(walk), local) for g in own)
     for c, p in enumerate(_parts(walk)):
         masses = walk_module._group_masses(space, spec.pairs[:, p.start // 2 : p.stop // 2],
-                                           spec.basis[p, p], local[c])
+                                           spec.basis[c], local[c])
         members = np.flatnonzero(space.component == c)
         assert masses.shape == (len(members), sum(len(g) ** 2 for g in local[c]))
         degrees = space.degrees[members]
@@ -1054,7 +1078,7 @@ def _check_coin_eigenpairs(walk, spec, rng=None):
     for c, p in enumerate(_parts(walk)):
         pairs = spec.pairs[:, p.start // 2 : p.stop // 2]
         dense = _dense_reverse_arc_operator(walk, pairs)
-        blocks = [spec.basis[p, p]]
+        blocks = [spec.basis[c]]
         if rng is not None:
             blocks.append(np.linalg.qr(rng.standard_normal((p.stop - p.start,) * 2))[0])
         for basis in blocks:
@@ -1169,17 +1193,32 @@ def test_memory_guard_admits_a_spectrum_that_fits(karate_walk_n1, monkeypatch):
 
 
 def test_memory_guard_counts_the_largest_component(monkeypatch):
-    # two karate copies at n = 2: m = 604 arcs, the largest component 292;
-    # 40 m**2 (13.9 MiB) would not fit in 10 MiB, 16 m**2 + 24 * 292**2
-    # (7.5 MiB) does, and does not fit in 7 MiB
+    # two karate copies at n = 2: m = 604 arcs in components of 292, 10, 292
+    # and 10; 40 m**2 (13.9 MiB) would not fit in 4 MiB, the blocks and one
+    # eigh of the largest, 8 * sum(m_c**2) + 32 * 292**2 (3.9 MiB), do, and
+    # do not fit in 3 MiB
     edges = karate_club_edges()
     walk = walk_on(clique_complex(edges + [(u + 34, v + 34) for u, v in edges], max_dim=2), 2)
-    assert walk.space.m == 604 and np.bincount(walk.space.component[walk.space.source]).max() == 292
-    _fake_memory(monkeypatch, 10)
+    sizes = np.bincount(walk.space.component[walk.space.source])
+    assert walk.space.m == 604 and sizes.tolist() == [292, 10, 292, 10]
+    _fake_memory(monkeypatch, 4)
     with pytest.raises(AssertionError, match="dense work started"):
         unitary_spectrum(walk)
-    _fake_memory(monkeypatch, 7)
+    _fake_memory(monkeypatch, 3)
     with pytest.raises(NumericalError, match="physical memory"):
+        unitary_spectrum(walk)
+
+
+def test_memory_guard_admits_many_small_components(monkeypatch):
+    # 200 disjoint diamonds at n = 1: m = 3,200 arcs in components of 16;
+    # a dense m x m basis (16 m**2, 156 MiB) would not fit in 1 MiB, the
+    # blocks and one eigh, 8 * 200 * 16**2 + 32 * 16**2 (0.4 MiB), do
+    diamond = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+    walk = walk_on(clique_complex([(u + 4 * i, v + 4 * i) for i in range(200) for u, v in diamond],
+                                  max_dim=2), 1)
+    assert np.bincount(walk.space.component[walk.space.source]).tolist() == [16] * 200
+    _fake_memory(monkeypatch, 1)
+    with pytest.raises(AssertionError, match="dense work started"):
         unitary_spectrum(walk)
 
 
