@@ -98,14 +98,9 @@ def _build_parser() -> _Parser:
 
 
 def _round_floats(value):
-    """12-significant-digit float formatting, applied recursively.
-
-    Numpy scalars become their Python values, which ``json`` can encode.
-    """
+    """12-significant-digit float formatting, applied recursively."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    if isinstance(value, np.generic):
-        return _round_floats(value.item())
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

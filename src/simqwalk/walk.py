@@ -45,12 +45,15 @@ Every BLAS product of the walk (the coin's matmuls, the group masses, the
 spectral average's row product and the ``eigh``, LAPACK's divide-and-conquer
 ``syevd``) runs on numpy's OpenBLAS pool as the process configured it, so
 ``OPENBLAS_NUM_THREADS`` caps its threads; the walk never sets a thread
-count.  A large state is stepped by two Python threads, each on the rows of
-its own degree classes, when the process may run on two CPUs (``_split``);
-each thread runs the very class matmuls, row gathers and row masses the one
-thread would, so the bytes do not depend on the split.  Both estimators run
-on numpy alone; ``scipy.sparse`` is loaded only by the sparse coin, shift
-and step.
+count.  Each column of a finite-average state evolves on its own, so a
+large state (``_split``) is evolved as two column halves, each a state with
+its own buffers: the caller's thread steps one, and one worker thread the
+other when the process may run on two CPUs, else the caller after the
+first.  The halves' row masses are added once both have ended, so the
+bytes do not depend on the CPUs; against the whole state they are summed
+in another order, so they differ in the last bits, within the table's
+error.  Both estimators run on numpy alone; ``scipy.sparse`` is loaded
+only by the sparse coin, shift and step.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -106,7 +108,6 @@ _CLUSTER_GAP = 1e-6  # eigh's vectors are accurate to about eps / gap
 _CHUNK = 32  # columns per block of the eigenpair check and the group masses
 _SPLIT_CELLS = 150_000  # see _split
 _POOL_GEMM = 1_000_000  # see _split
-_ROW_COST = 16  # see _cut
 
 
 @dataclass(frozen=True)
@@ -363,12 +364,12 @@ def _coin_views(classes, psi: np.ndarray, coined: np.ndarray) -> list:
             for part, k, coin in classes]
 
 
-def _split(classes, psi: np.ndarray) -> bool:
-    """Whether :func:`_evolution` steps ``psi`` in two halves: when the
-    component has two degree classes or more, the state holds at least
-    ``_SPLIT_CELLS`` cells (planar rows times columns), no class matmul
-    reaches ``_POOL_GEMM`` terms (the product of its three dimensions) and
-    the process may run on two CPUs.
+def _split(component: _Component, columns: int) -> bool:
+    """Whether :func:`finite_time_average` evolves a state of ``columns``
+    columns on ``component`` as two column halves: when it has at least 2
+    columns and ``_SPLIT_CELLS`` cells (planar rows times columns), and no
+    class matmul of the whole state reaches ``_POOL_GEMM`` terms (the
+    product of its three dimensions).
 
     numpy's OpenBLAS spreads a GEMM of ``_POOL_GEMM`` terms or more over its
     pool, and two such GEMMs started from two threads ran slower than one
@@ -376,152 +377,73 @@ def _split(classes, psi: np.ndarray) -> bool:
     product, where two of 990,000 terms took 55 against 91 us.
 
     The ladder behind both limits: ``finite_time_average`` (T = 100) of one
-    seed on the components of the benchmark's planted-partition graphs,
-    median of 5 alternated runs, one half against two halves, 2-core Xeon
-    VM, numpy's OpenBLAS pool at two threads:
+    seed on the components of the benchmark's planted-partition graphs, the
+    whole state against two column halves on two threads, medians of 5, 7
+    and (the three rows around the limit) 9 alternated runs in three
+    rounds, the range over the rounds, 2-core Xeon VM, numpy's OpenBLAS
+    pool at two threads:
 
-    walk        rows x columns  cells    one -> two (ms)  split
-    P240 n = 2  3,144 x 14      44,016   12 -> 26         no
-    P160 n = 2  4,368 x 19      82,992   23 -> 36         no
-    P240 n = 2  5,500 x 18      99,000   26 -> 32         no
-    P160 n = 2  5,908 x 23      135,884  39 -> 45         no
-    P240 n = 2  7,144 x 25      178,600  75 -> 64         yes
-    P160 n = 2  7,012 x 28      196,336  86 -> 71         yes
-    P100 n = 1  10,600 x 22     233,200  109 -> 78        yes
-    P100 n = 1  10,600 x 24     254,400  125 -> 144       no (a GEMM of 1,015,200 terms)
-    P240 n = 2  15,072 x 24     361,728  122 -> 111       yes
-    P160 n = 1  53,184 x 14     744,576  405 -> 522       no (GEMMs of up to 3.6M terms)
+    walk        rows x columns  cells    whole -> halves (ms)  split
+    P240 n = 2  3,144 x 14      44,016   11 -> 19-21           no
+    P160 n = 2  4,368 x 19      82,992   22 -> 29-37           no
+    P240 n = 2  5,500 x 18      99,000   25-26 -> 28-31        no
+    P160 n = 2  5,908 x 23      135,884  39-40 -> 37-45        no
+    P240 n = 2  7,144 x 25      178,600  52-78 -> 40-70        yes
+    P160 n = 2  7,012 x 28      196,336  58-61 -> 45-68        yes
+    P100 n = 1  10,600 x 22     233,200  69-76 -> 46-53        yes
+    P100 n = 1  10,600 x 24     254,400  80-88 -> 77-79        no (a GEMM of 1,015,200 terms)
+    P240 n = 2  15,072 x 24     361,728  99-101 -> 62-66       yes
+    P160 n = 1  53,184 x 14     744,576  324-352 -> 547-571    no (GEMMs of up to 3.6M terms)
     """
-    if len(classes) < 2 or psi.size < _SPLIT_CELLS:
-        return False
-    if max(4 * k * (part.stop - part.start) for part, k, _ in classes) * psi.shape[1] >= _POOL_GEMM:
-        return False
+    gemm = max(4 * k * (part.stop - part.start) for part, k, _ in component.classes) * columns
+    return columns >= 2 and len(component.source) * columns >= _SPLIT_CELLS and gemm < _POOL_GEMM
+
+
+def _beside(first, second) -> tuple:
+    """``first()`` on the caller's thread and ``second()`` on one worker
+    thread, or after ``first()`` when the process may run on one CPU only;
+    returns both results.  An error of either is raised here, once the
+    worker has ended."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus >= 2
-
-
-def _cut(classes) -> int:
-    """Index of the degree class that starts the second of two halves, chosen
-    so that a step's two phases, each as slow as its slower half, cost the
-    least: a class of ``rows`` rows and degree k costs ``rows * k`` in the
-    matmul phase and ``rows * _ROW_COST`` in the gather and mass phase.
-
-    Measured per planar row on a 2-core Xeon VM at d = 24, the matmuls took
-    about 3 ns per unit of k and the gather and mass 47 to 58 ns, a ratio of
-    17 to 20; on the largest components of P160 and P240 at n = 2 (the
-    benchmark's planted-partition graphs) any ratio from 16 to 24 moves the
-    cut by at most one class."""
-    rows = np.array([part.stop - part.start for part, _, _ in classes])
-    gemm = np.cumsum(rows * [k for _, k, _ in classes])
-    rest = np.cumsum(rows) * _ROW_COST
-    first_gemm, first_rest = gemm[:-1], rest[:-1]
-    cost = np.maximum(first_gemm, gemm[-1] - first_gemm) + np.maximum(first_rest, rest[-1] - first_rest)
-    return int(np.argmin(cost)) + 1
-
-
-def _steps(views, coined, shift, psi, mass, steps: range, sync, record=None) -> int:
-    """One half's part of ``steps``: its class matmuls into the shared
-    ``coined``, ``sync(False)``, the gather of its rows ``psi`` from
-    ``coined`` along ``shift`` and their row mass into ``mass`` (if given),
-    ``sync(True)``, then ``record(t)`` (if given).  Returns the steps done:
-    all, or up to the first at which ``sync(True)`` returned True."""
-    for t in steps:
-        for coin, state, out in views:
-            np.matmul(coin, state, out=out)
-        sync(False)
-        # the indices are a permutation, so no index is ever clipped; in
-        # the default mode numpy would copy through a buffer instead of
-        # writing straight into psi
-        np.take(coined, shift, axis=0, out=psi, mode="clip")
-        if mass is not None:
-            np.einsum("ij,ij->i", psi, psi, out=mass)
-        stop = sync(True)
-        if record is not None:
-            record(t)
-        if stop:
-            return t + 1
-    return steps.stop
-
-
-def _two_halves(first, second, t_max: int, record) -> int:
-    """Step the half ``first`` on the caller's thread and ``second`` on one
-    worker thread in lock step, two barriers per step, and return the steps
-    done.  After a step at which the caller has waited for the worker longer
-    in all than it worked itself, which a worker kept off its CPU causes,
-    the caller breaks the barrier and steps the rest alone; the worker stops
-    at its next barrier, having at most run its half's matmuls of the next
-    step, which the caller runs again.  An error in either half breaks the barrier and is raised here; the
-    worker never outlives the call."""
-    barrier, failure = threading.Barrier(2), []
-    busy = waited = 0.0
-
-    def caller_sync(last: bool) -> bool:
-        nonlocal mark, busy, waited
-        start = time.perf_counter()
-        busy += start - mark
-        barrier.wait()
-        mark = time.perf_counter()
-        waited += mark - start
-        return last and waited > busy
-
-    def worker_sync(last: bool) -> bool:
-        barrier.wait()
-        return False
+    if cpus < 2:
+        return first(), second()
+    done = []
 
     def work():
         try:
-            _steps(*second, range(t_max), worker_sync)
-        except threading.BrokenBarrierError:
-            pass  # the caller stepped on alone or failed, and raises its own error
-        except BaseException as exc:  # any error of this half is the call's
-            failure.append(exc)
-            barrier.abort()
+            done.append(second())
+        except BaseException as exc:  # raised again from the call, below
+            done.append(exc)
 
     worker = threading.Thread(target=work, name="simqwalk-half")
     worker.start()
-    done, mark = 0, time.perf_counter()
     try:
-        done = _steps(*first, range(t_max), caller_sync, record)
-    except threading.BrokenBarrierError:
-        pass  # only the worker breaks the barrier while this half runs; its error is raised below
+        head = first()
     finally:
-        barrier.abort()
         worker.join()
-    if failure:
-        raise failure[0]
-    return done
+    if isinstance(done[0], BaseException):
+        raise done[0]
+    return head, done[0]
 
 
 def _evolution(component: _Component, psi: np.ndarray, t_max: int, record=None) -> None:
     """Step a planar ``(2 m_c, d)`` state on one component in place ``t_max``
     times.  With ``record``, ``record(t, mass)`` is called after step ``t``
     (from 0) with the squared amplitude on each planar row, summed over the
-    columns; ``mass`` is overwritten by the next step.
-
-    A state that :func:`_split` accepts is stepped in two halves
-    (:func:`_two_halves`): the component's rows are cut at a degree-class
-    boundary (:func:`_cut`), and the caller's thread steps the first half
-    and one worker thread the second.  Both write their matmuls into one
-    shared ``coined``; one barrier keeps every gather behind all matmuls,
-    another the next matmuls behind all gathers.  Every class matmul, row
-    gather and row mass is the one the whole state would run, so the bytes
-    do not depend on the split, nor on the step at which it ends.
-    """
+    columns; ``mass`` is overwritten by the next step."""
     coined = np.empty_like(psi)
+    views = _coin_views(component.classes, psi, coined)
     mass = None if record is None else np.empty(len(psi))
-    after = None if record is None else lambda t: record(t, mass)
-    classes = component.classes
-
-    def half(lo: int, hi: int) -> tuple:
-        rows = slice(2 * classes[lo][0].start, 2 * classes[hi - 1][0].stop)
-        return (_coin_views(classes[lo:hi], psi, coined), coined, component.shift[rows],
-                psi[rows], None if mass is None else mass[rows])
-
-    done = 0
-    if _split(classes, psi):
-        cut = _cut(classes)
-        done = _two_halves(half(0, cut), half(cut, len(classes)), t_max, after)
-    _steps(*half(0, len(classes)), range(done, t_max), lambda last: False, after)
+    for t in range(t_max):
+        for coin, state, out in views:
+            np.matmul(coin, state, out=out)
+        # the indices are a permutation, so no index is ever clipped; in
+        # the default mode numpy would copy through a buffer instead of
+        # writing straight into psi
+        np.take(coined, component.shift, axis=0, out=psi, mode="clip")
+        if record is not None:
+            np.einsum("ij,ij->i", psi, psi, out=mass)
+            record(t, mass)
 
 
 def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
@@ -540,17 +462,19 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
     return real + 1j * imag
 
 
-def _source_state(walk: UnitaryWalk, source: Simplex):
-    """Every initial arc of an active source as one column of a planar
-    ``(2 m_c, d)`` state on the source's component only; returns the
-    source's degree, the component and the state."""
-    blk = walk.space.block(source)
-    d = blk.stop - blk.start
+def _source_arcs(walk: UnitaryWalk, source: Simplex) -> tuple[_Component, np.ndarray]:
+    """The component of an active source and the real planar row, in it,
+    of each of the source's initial arcs."""
     component = walk.frame.components[walk.space.component[walk.space.index[source]]]
-    rows = component.planar
-    psi = np.zeros((rows.stop - rows.start, d))
-    psi[walk.frame.planes[0, blk] - rows.start, np.arange(d)] = 1.0
-    return d, component, psi
+    return component, walk.frame.planes[0, walk.space.block(source)] - component.planar.start
+
+
+def _one_hot(component: _Component, rows: np.ndarray) -> np.ndarray:
+    """The planar ``(2 m_c, len(rows))`` state with a one in real planar row
+    ``rows[j]`` of column j."""
+    psi = np.zeros((len(component.source), len(rows)))
+    psi[rows, np.arange(len(rows))] = 1.0
+    return psi
 
 
 def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
@@ -568,15 +492,15 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
     t_max = _integer(t_max, "t_max", 1)
     space = walk.space
     sx = space.require_active(source)
-    d_source, component, psi = _source_state(walk, sx)
+    component, rows = _source_arcs(walk, sx)
     n_active = len(space.active)
     profile = np.empty((t_max, n_active))
 
     def record(t, mass):
         profile[t] = np.bincount(component.source, mass, minlength=n_active)
 
-    _evolution(component, psi, t_max, record)
-    return profile / (d_source * space.degrees)
+    _evolution(component, _one_hot(component, rows), t_max, record)
+    return profile / (len(rows) * space.degrees)
 
 
 def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
@@ -619,11 +543,22 @@ def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIM
     if error >= 1:
         raise InvalidParameterError(f"time_steps {time_steps} is too long: its rounding error "
                                     f"bound reaches 1, the norm of the state")
-    d_source, component, psi = _source_state(walk, sx)
-    total = np.zeros(len(component.source))
-    _evolution(component, psi, time_steps, lambda t, mass: np.add(total, mass, out=total))
-    total = np.bincount(component.source, total, minlength=len(space.active))
-    mean = total / (time_steps * d_source * space.degrees)
+    component, rows = _source_arcs(walk, sx)
+
+    def row_mass(columns: np.ndarray) -> np.ndarray:
+        # every column evolves on its own, so any of them make a state of their own
+        out = np.zeros(len(component.source))
+        _evolution(component, _one_hot(component, columns), time_steps, lambda t, mass: np.add(out, mass, out=out))
+        return out
+
+    if _split(component, len(rows)):
+        half = len(rows) // 2
+        first, second = _beside(lambda: row_mass(rows[:half]), lambda: row_mass(rows[half:]))
+        mass = first + second
+    else:
+        mass = row_mass(rows)
+    total = np.bincount(component.source, mass, minlength=len(space.active))
+    mean = total / (time_steps * len(rows) * space.degrees)
     return TransitionTable(sx, f"finite(T={time_steps})", mean, error, space)
 
 
@@ -709,22 +644,30 @@ def _reverse_arc_entries(space: WalkSpace, pairs: np.ndarray) -> tuple[np.ndarra
     return flat.ravel(), np.stack([z, 1j * s_b * z, -1j * s_r * z, s_r * s_b * z]).ravel()
 
 
-def _real_eigenvectors(m: int, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _real_eigenvectors(m: int, entries) -> np.ndarray:
     """Real orthonormal eigenvectors of the m x m complex symmetric unitary
-    ``h + i k`` with entries ``values`` at ``row * m + col``: those of the dense
-    ``h`` (cos phi), separated by ``k`` (sin phi) in clusters of near-equal cos phi."""
+    ``h + i k`` whose entries ``entries()`` returns, as values at positions
+    ``row * m + col``: those of the dense ``h`` (cos phi), separated by ``k``
+    (sin phi) in clusters of near-equal cos phi.  The entries are dropped
+    before the ``eigh`` and made again only for a cluster."""
+    flat, values = entries()
+    h = np.bincount(flat, values.real, minlength=m * m).reshape(m, m)
+    del flat, values
     try:
-        cos, basis = np.linalg.eigh(np.bincount(flat, values.real, minlength=m * m).reshape(m, m))
+        cos, basis = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigh of the step operator failed: {exc}") from None
-    rows, cols = np.divmod(flat, m)
+    del h
     edges = np.concatenate([[0], np.flatnonzero(np.diff(cos) > _CLUSTER_GAP) + 1, [m]])
-    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        if hi - lo > 1:
-            sub = basis[:, lo:hi]
-            k_sub = np.stack([np.bincount(rows, values.imag * column[cols], minlength=m)
-                              for column in sub.T], axis=1)
-            basis[:, lo:hi] = sub @ np.linalg.eigh(sub.T @ k_sub)[1]
+    clusters = [(lo, hi) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()) if hi - lo > 1]
+    if clusters:
+        flat, values = entries()
+        rows, cols = np.divmod(flat, m)
+    for lo, hi in clusters:
+        sub = basis[:, lo:hi]
+        k_sub = np.stack([np.bincount(rows, values.imag * column[cols], minlength=m)
+                          for column in sub.T], axis=1)
+        basis[:, lo:hi] = sub @ np.linalg.eigh(sub.T @ k_sub)[1]
     return basis
 
 
@@ -825,7 +768,7 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
     try:
         for c, part in enumerate(map(slice, [0] + stops[:-1], stops)):
             own = pairs[:, part.start // 2 : part.stop // 2]
-            basis.append(_real_eigenvectors(part.stop - part.start, *_reverse_arc_entries(space, own)))
+            basis.append(_real_eigenvectors(part.stop - part.start, lambda: _reverse_arc_entries(space, own)))
             eigenvalues, residuals[part] = _coin_eigenpairs(walk, c, own, basis[c])
             if residuals[part].max() > RESIDUAL_TOL:
                 raise NumericalError(f"eigenpair residual {residuals[part].max():.1e} exceeds {RESIDUAL_TOL:g}")

@@ -11,7 +11,7 @@ import pytest
 
 import simqwalk.walk
 from simqwalk import karate_club_edges
-from simqwalk.cli import _build_parser, _json_text, main
+from simqwalk.cli import _build_parser, main
 
 from reference_karate import TRIANGLE_COMMUNITIES
 
@@ -234,11 +234,6 @@ def test_verify_reports_identities(edges_file, tmp_path):
         )
         assert code == 0
         assert text.splitlines() == ["identity,holds"] + [f"{flag},True" for flag in flags]
-
-
-def test_json_converts_numpy_scalars():
-    payload = {"flag": np.bool_(True), "count": np.int64(3), "x": [np.float32(0.1)]}
-    assert json.loads(_json_text(payload)) == {"flag": True, "count": 3, "x": [0.10000000149]}
 
 
 def test_csv_format(edges_file, tmp_path):
@@ -628,12 +623,16 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(edges_file):
     expected = [[0, hashlib.sha256(golden.read_bytes()).hexdigest(), empty] for golden in goldens]
     assert _cli_calls(commands, OPENBLAS_NUM_THREADS="1") == expected
     assert _cli_calls(commands, OPENBLAS_NUM_THREADS="2") == expected
-    # finite commands with every state of two degree classes or more in two halves
+    # finite commands with every state of two columns or more in two column
+    # halves, the second on a worker thread and, with the interpreter pinned
+    # to one CPU, after the first
     finite = [i for i, argv in enumerate(commands) if "finite" in argv]
     split = "import simqwalk.walk\nsimqwalk.walk._SPLIT_CELLS = 0\n"
-    for threads in ("1", "2"):
-        assert (_cli_calls([commands[i] for i in finite], split, OPENBLAS_NUM_THREADS=threads)
-                == [expected[i] for i in finite])
+    pinned = split + "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    for prelude in (split, pinned):
+        for threads in ("1", "2"):
+            assert (_cli_calls([commands[i] for i in finite], prelude, OPENBLAS_NUM_THREADS=threads)
+                    == [expected[i] for i in finite])
 
 
 def test_spectral_walk_at_n1_repeats_its_bytes_at_each_blas_thread_count(edges_file):

@@ -399,69 +399,90 @@ def test_public_walk_calls_keep_the_blas_count(blas_threads, karate):
 # -- two halves --------------------------------------------------------------------------
 
 
+def _cpus(monkeypatch, count: int) -> None:
+    """Let the library see ``count`` CPUs in the process's affinity set."""
+    monkeypatch.setattr(walk_module.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def _force_split(monkeypatch) -> list:
-    """Step every state on a component of two degree classes or more in two
-    halves, as on two CPUs; returns the list that records each cut."""
-    cuts = []
-    cut = walk_module._cut
-    monkeypatch.setattr(walk_module, "_cut", lambda classes: cuts.append(classes) or cut(classes))
+    """Evolve every finite-average state of two columns or more as two
+    column halves, the second on a worker thread as on two CPUs; returns
+    the list that records the column count of each split state."""
+    splits, split = [], walk_module._split
+
+    def recorded(component, columns):
+        if split(component, columns):
+            splits.append(columns)
+            return True
+        return False
+
+    monkeypatch.setattr(walk_module, "_split", recorded)
     monkeypatch.setattr(walk_module, "_SPLIT_CELLS", 0)
-    monkeypatch.setattr(walk_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return cuts
+    _cpus(monkeypatch, 2)
+    return splits
 
 
-def _one_half_and_split(monkeypatch, compute):
-    """``compute()`` with every state on one half, then split as by
-    :func:`_force_split`; returns both results and the number of cuts."""
+def _tables(walks, time_steps):
+    return [finite_time_average(walk, source, time_steps) for walk in walks for source in walk.space.active]
+
+
+def _check_halves(monkeypatch, walks, time_steps) -> int:
+    """Every source's finite average on ``walks``: halves stepped by two
+    threads give the bytes of halves stepped one after the other on the
+    caller's thread, and both stay within the table's error of the whole
+    state; returns the number of split states."""
     monkeypatch.setattr(walk_module, "_SPLIT_CELLS", 10**18)
-    one = compute()
-    cuts = _force_split(monkeypatch)
-    return one, compute(), len(cuts)
-
-
-def _finite_results(walks, time_steps, t_max):
-    return [(finite_time_average(walk, source, time_steps).weights, transition_profile(walk, source, t_max))
-            for walk in walks for source in walk.space.active]
-
-
-def _assert_same_bytes(one, two):
-    assert len(one) == len(two)
-    for (weights, profile), (split_weights, split_profile) in zip(one, two):
-        assert np.array_equal(weights, split_weights)
-        assert np.array_equal(profile, split_profile)
+    whole = _tables(walks, time_steps)
+    threads, evolution = [], walk_module._evolution
+    monkeypatch.setattr(walk_module, "_evolution",
+                        lambda *args: threads.append(threading.current_thread()) or evolution(*args))
+    splits = _force_split(monkeypatch)
+    threaded = _tables(walks, time_steps)
+    # each split state's second half, and only that, ran on a worker
+    split = len(splits)
+    assert sum(thread is not threading.main_thread() for thread in threads) == split
+    _cpus(monkeypatch, 1)
+    threads.clear()
+    sequential = _tables(walks, time_steps)
+    assert len(splits) == 2 * split and all(thread is threading.main_thread() for thread in threads)
+    assert len(whole) == len(threaded) == len(sequential)
+    for one, two, in_turn in zip(whole, threaded, sequential):
+        assert np.array_equal(two.weights, in_turn.weights)
+        assert np.abs(two.weights - one.weights).max() <= one.error
+    return split
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_split_changes_no_value_on_karate(karate, monkeypatch, n):
-    walks = [walk_on(karate, n)]
-    one, two, splits = _one_half_and_split(monkeypatch, lambda: _finite_results(walks, 100, 20))
-    # at n = 4 the two 4-simplices form one degree class, which has no cut
+    # at n = 4 each of the two 4-simplices has one arc, which has no half
+    splits = _check_halves(monkeypatch, [walk_on(karate, n)], 100)
     assert splits > 0 or n == 4
-    _assert_same_bytes(one, two)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_split_changes_no_value_on_random_complexes(monkeypatch, seed):
     K = random_clique_complex(seed)
     walks = [walk_on(K, n) for n in (1, 2) if n <= K.max_dim and K.arc_count(n)]
-    states = [np.random.default_rng(seed).normal(size=(walk.space.m, 2)) @ [1, 1j] for walk in walks]
+    assert _check_halves(monkeypatch, walks, 30) > 0
 
-    def compute():
-        return _finite_results(walks, 30, 10), [evolve(w, state, 30) for w, state in zip(walks, states)]
 
-    (one, evolved), (two, split_evolved), splits = _one_half_and_split(monkeypatch, compute)
-    assert splits > 0
-    _assert_same_bytes(one, two)
-    assert all(np.array_equal(a, b) for a, b in zip(evolved, split_evolved))
+def test_split_halves_one_degree_class(monkeypatch):
+    # every edge of K8 has lower degree 12: one component of one degree
+    # class, whose 12 columns still split into halves of 6
+    walk = walk_on(clique_complex([(u, v) for u in range(1, 9) for v in range(u + 1, 9)], max_dim=1))
+    assert [len(component.classes) for component in walk.frame.components] == [1]
+    assert _check_halves(monkeypatch, [walk], 100) == 28
 
 
 def test_split_under_thread_pressure_changes_no_value(karate, monkeypatch):
     # three callers at once, each with its worker, on a switch interval of
-    # a microsecond: a gather or mass racing a matmul would change bytes
+    # a microsecond: halves that shared a buffer would change bytes
     walk = walk_on(karate, 1)
     sources = walk.space.active[:6]
+    splits = _force_split(monkeypatch)
+    _cpus(monkeypatch, 1)
     expected = [finite_time_average(walk, source, 30).weights for source in sources]
-    cuts = _force_split(monkeypatch)
+    _cpus(monkeypatch, 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -470,17 +491,30 @@ def test_split_under_thread_pressure_changes_no_value(karate, monkeypatch):
                                 timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert len(cuts) == len(sources)
+    assert len(splits) == 2 * len(sources)
     assert all(np.array_equal(a, b) for a, b in zip(expected, got))
 
 
-def _replace_coin(walk, source, at, wrap):
-    """Gives class ``at`` of the source's component the coin ``wrap(coin)``;
-    the caller's thread steps the first class of a split, the worker the last."""
+def _split_walks(karate):
+    """Fresh walks on karate at n = 1..4 and on the seeded random complexes
+    at n = 1, 2, with the highest-degree source of each whose state splits."""
+    walks = [walk_on(karate, n) for n in range(1, 5)]
+    for seed in range(20):
+        K = random_clique_complex(seed)
+        walks += [walk_on(K, n) for n in (1, 2) if n <= K.max_dim and K.arc_count(n)]
+    for walk in walks:
+        source = max(walk.space.active, key=walk.space.degree)
+        if walk.space.degree(source) >= 2:
+            yield walk, source
+
+
+def _replace_coin(walk, source, wrap):
+    """Gives the first degree class of the source's component the coin
+    ``wrap(coin)``; both halves of a split state step every class."""
     frame = walk.frame
     c = walk.space.component[walk.space.index[source]]
     classes = list(frame.components[c].classes)
-    classes[at] = (*classes[at][:2], wrap(classes[at][2]))
+    classes[0] = (*classes[0][:2], wrap(classes[0][2]))
     components = list(frame.components)
     components[c] = components[c]._replace(classes=tuple(classes))
     walk.__dict__["frame"] = type(frame)(frame.planes, tuple(components))
@@ -490,11 +524,9 @@ class _HalfFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("at", [0, -1], ids=["caller", "worker"])
+@pytest.mark.parametrize("at", ["caller", "worker"])
 def test_a_failing_half_raises_from_the_call_and_leaves_no_thread(karate, monkeypatch, at):
     # either half's failing matmul raises the call's error
-    walk = walk_on(karate, 1)
-    source = max(walk.space.active, key=walk.space.degree)
     failed_in = []
 
     class FailingCoin:
@@ -504,27 +536,27 @@ def test_a_failing_half_raises_from_the_call_and_leaves_no_thread(karate, monkey
             self.coin = coin
 
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if (threading.current_thread() is threading.main_thread()) == (at == 0):
+            if (threading.current_thread() is threading.main_thread()) == (at == "caller"):
                 failed_in.append(threading.current_thread())
                 raise _HalfFailure
             return getattr(ufunc, method)(self.coin, *inputs[1:], **kwargs)
 
-    _replace_coin(walk, source, at, FailingCoin)
-    cuts = _force_split(monkeypatch)
+    splits = _force_split(monkeypatch)
     before = threading.active_count()
-    with pytest.raises(_HalfFailure):
-        finite_time_average(walk, source)
-    assert threading.active_count() == before
-    assert cuts and len(failed_in) == 1
+    checked = 0
+    for walk, source in _split_walks(karate):
+        _replace_coin(walk, source, FailingCoin)
+        failed_in.clear()
+        with pytest.raises(_HalfFailure):
+            finite_time_average(walk, source, 30)
+        assert threading.active_count() == before
+        assert len(failed_in) == 1
+        checked += 1
+    assert checked == len(splits) >= 30
 
 
-def test_a_slow_worker_hands_the_rest_to_the_caller(karate, monkeypatch):
-    # a worker kept off its CPU makes the caller wait longer than it works;
-    # the call then ends on the caller's thread alone, with the same bytes
-    walk = walk_on(karate, 1)
-    source = max(walk.space.active, key=walk.space.degree)
-    expected = finite_time_average(walk, source).weights
-
+def test_a_slow_worker_changes_no_value(karate, monkeypatch):
+    # a worker kept off its CPU at every step only delays the call
     class SlowCoin:
         def __init__(self, coin):
             self.coin = coin
@@ -534,12 +566,14 @@ def test_a_slow_worker_hands_the_rest_to_the_caller(karate, monkeypatch):
                 time.sleep(0.002)
             return getattr(ufunc, method)(self.coin, *inputs[1:], **kwargs)
 
-    _replace_coin(walk, source, -1, SlowCoin)
-    cuts, done = _force_split(monkeypatch), []
-    two_halves = walk_module._two_halves
-    monkeypatch.setattr(walk_module, "_two_halves", lambda *args: done.append(two_halves(*args)) or done[-1])
-    assert np.array_equal(finite_time_average(walk, source).weights, expected)
-    assert cuts and 1 <= done[0] < 100
+    splits = _force_split(monkeypatch)
+    for walk, source in _split_walks(karate):
+        _cpus(monkeypatch, 1)
+        expected = finite_time_average(walk, source, 30).weights
+        _replace_coin(walk, source, SlowCoin)
+        _cpus(monkeypatch, 2)
+        assert np.array_equal(finite_time_average(walk, source, 30).weights, expected)
+    assert len(splits) >= 60
 
 
 # -- transition probabilities ----------------------------------------------------------
@@ -1012,7 +1046,7 @@ def test_cluster_separation_splits_colliding_phases():
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     phi = np.array([0.7, -0.7, 0.2, 1.9, -2.5, 3.0])
     dense = (q * np.exp(1j * phi)) @ q.T
-    basis = _real_eigenvectors(6, np.arange(36), dense.ravel())
+    basis = _real_eigenvectors(6, lambda: (np.arange(36), dense.ravel()))
     eigenvalues = np.einsum("ij,ij->j", basis, dense @ basis)
     residuals = np.linalg.norm(dense @ basis - basis * eigenvalues, axis=0)
     assert residuals.max() < 1e-12
