@@ -15,7 +15,6 @@ from simqwalk import (
     long_time_average_spectral,
     step_operator,
     transition_probability,
-    unitary_spectrum,
 )
 
 # Two edges sharing a vertex: the smallest nontrivial walk space.
@@ -48,10 +47,10 @@ print("  unitarity defect:", np.abs(dense.conj().T @ dense - np.eye(space.m)).ma
 
 # Finite-horizon averages converge to the exact infinite-time average at rate
 # 1/T.  The exact value comes from the spectral decomposition of the step
-# operator (eigenphase-group projectors).
-spectrum = unitary_spectrum(walk)
-print("  eigenphase groups:", len(spectrum.groups))
-exact = long_time_average_spectral(walk, (1, 2), spectrum)
+# operator (eigenphase-group projectors), made on first use and kept on the
+# walk as ``walk.spectrum``.
+print("  eigenphase groups:", len(walk.spectrum.groups))
+exact = long_time_average_spectral(walk, (1, 2))
 for horizon in (25, 100, 400, 1600):
     finite = finite_time_average(walk, (1, 2), horizon)
     gap = max(abs(finite[s] - exact[s]) for s in space.active)
@@ -62,5 +61,5 @@ for horizon in (25, 100, 400, 1600):
 print(f"\n  baseline 1/m = {1 / space.m:.4f}")
 for target in space.active:
     marker = "*" if exact[target] > 1 / space.m else " "
-    bound = amplitude_lower_bound(walk, (1, 2), target, spectrum)
+    bound = amplitude_lower_bound(walk, (1, 2), target)
     print(f"  {marker} q((1,2) -> {target}) = {exact[target]:.4f}   lower bound {bound:.4f}")

@@ -14,7 +14,7 @@ whitespace-separated 1-indexed vertex ids, ``#`` comments allowed)::
 Output is JSON by default (``--format csv`` for flat tables, ``--format
 dot`` for ``detect``); floats are printed with 12 significant digits and the
 bytes are stable across repeated runs.  Exit codes: 1 for validation
-problems, 2 for I/O problems, 3 for numerical failures.
+problems, 2 for I/O problems, 3 for numerical failures and exhausted memory.
 """
 
 from __future__ import annotations
@@ -329,6 +329,9 @@ def main(argv=None) -> int:
         return run(args)
     except NumericalError as exc:
         print(f"simqwalk: numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"simqwalk: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except SimplicialError as exc:
         print(f"simqwalk: {exc}", file=sys.stderr)

@@ -241,7 +241,8 @@ def detect_communities(
     time_steps = _integer(time_steps, "time_steps", 1)
     space = build_walk_space(K, n)
     walk = step_operator(space)
-    spectrum = unitary_spectrum(walk) if method == "spectral" and space.m else None
+    if method == "spectral" and space.m:
+        unitary_spectrum(walk)  # kept on the walk: a refused spectrum stops detection before any seed
     baseline = 1.0 / space.m if space.m else None
     geq = threshold == "geq"
     unassigned = np.ones(len(space.active), dtype=bool)
@@ -252,7 +253,7 @@ def detect_communities(
             continue
         source = space.active[seed]
         table = (finite_time_average(walk, source, time_steps) if method == "finite"
-                 else long_time_average_spectral(walk, source, spectrum))
+                 else long_time_average_spectral(walk, source))
         excess = table.weights - baseline
         # a tie is within the error bound: states off by e move a simplex's
         # masses by 2e each, and its masses over all states sum to its degree

@@ -47,20 +47,22 @@ spectral average's row product and the ``eigh``, LAPACK's divide-and-conquer
 ``OPENBLAS_NUM_THREADS`` caps its threads; the walk never sets a thread
 count.  Each column of a finite-average state evolves on its own, so a
 large state (``_split``) is evolved as two column halves, each a state with
-its own buffers: the caller's thread steps one, and one worker thread the
-other when the process may run on two CPUs, else the caller after the
-first.  The halves' row masses are added once both have ended, so the
-bytes do not depend on the CPUs; against the whole state they are summed
-in another order, so they differ in the last bits, within the table's
-error.  Both estimators run on numpy alone; ``scipy.sparse`` is loaded
-only by the sparse coin, shift and step.
+its own buffers: the caller's thread steps one and one worker thread the
+other, on any number of CPUs.  Pinned to one CPU the two are time-sliced:
+a 6 x 40 planted-partition ``detect_communities(K, 2)`` took medians of
+0.47-0.52 s against 0.44-0.49 s with the halves one after the other, whose
+run times overlapped (0.33-0.62 s, 2 rounds of 12 alternated runs at one
+and at two BLAS threads).  The halves' row masses are added once both have
+ended, so the bytes do not depend on the threads; against the whole state
+they are summed in another order, so they differ in the last bits, within
+the table's error.  Both estimators run on numpy alone; ``scipy.sparse``
+is loaded only by the sparse coin, shift and step.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -327,8 +329,9 @@ def _arc_frame(space: WalkSpace) -> _ArcFrame:
 class UnitaryWalk:
     """The one-step evolution ``shift @ coin`` on a walk space.
 
-    Both views are built on first use: both estimators run on ``frame`` and
-    the coin blocks, and the sparse ``step`` is built only when asked for.
+    Every view is built on first use and kept: both estimators run on
+    ``frame`` and the coin blocks, the spectral one reads ``spectrum``, and
+    the sparse ``step`` is built only when asked for.
     """
 
     space: WalkSpace
@@ -343,9 +346,14 @@ class UnitaryWalk:
         """The sparse step matrix ``shift_operator @ coin_operator``."""
         return (shift_operator(self.space) @ coin_operator(self.space)).tocsr()
 
+    @cached_property
+    def spectrum(self) -> UnitarySpectrum:
+        """The step operator's spectral decomposition (:func:`unitary_spectrum`)."""
+        return _decompose(self)
+
 
 def step_operator(space: WalkSpace) -> UnitaryWalk:
-    """The walk on a space; its frame and sparse step are built on first use."""
+    """The walk on a space; its frame, spectrum and sparse step are built on first use."""
     return UnitaryWalk(space)
 
 
@@ -401,49 +409,28 @@ def _split(component: _Component, columns: int) -> bool:
 
 def _beside(first, second) -> tuple:
     """``first()`` on the caller's thread and ``second()`` on one worker
-    thread, or after ``first()`` when the process may run on one CPU only;
-    returns both results.  An error of either is raised here, once the
-    worker has ended."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus < 2:
-        return first(), second()
-    done = []
+    thread; returns both results.  An error of either is raised here, once
+    the worker has ended."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        try:
-            done.append(second())
-        except BaseException as exc:  # raised again from the call, below
-            done.append(exc)
-
-    worker = threading.Thread(target=work, name="simqwalk-half")
-    worker.start()
-    try:
-        head = first()
-    finally:
-        worker.join()
-    if isinstance(done[0], BaseException):
-        raise done[0]
-    return head, done[0]
+    with ThreadPoolExecutor(1, thread_name_prefix="simqwalk-half") as worker:
+        tail = worker.submit(second)
+        return first(), tail.result()
 
 
-def _evolution(component: _Component, psi: np.ndarray, t_max: int, record=None) -> None:
+def _evolution(component: _Component, psi: np.ndarray, t_max: int):
     """Step a planar ``(2 m_c, d)`` state on one component in place ``t_max``
-    times.  With ``record``, ``record(t, mass)`` is called after step ``t``
-    (from 0) with the squared amplitude on each planar row, summed over the
-    columns; ``mass`` is overwritten by the next step."""
+    times, yielding ``psi`` after each step."""
     coined = np.empty_like(psi)
     views = _coin_views(component.classes, psi, coined)
-    mass = None if record is None else np.empty(len(psi))
-    for t in range(t_max):
+    for _ in range(t_max):
         for coin, state, out in views:
             np.matmul(coin, state, out=out)
         # the indices are a permutation, so no index is ever clipped; in
         # the default mode numpy would copy through a buffer instead of
         # writing straight into psi
         np.take(coined, component.shift, axis=0, out=psi, mode="clip")
-        if record is not None:
-            np.einsum("ij,ij->i", psi, psi, out=mass)
-            record(t, mass)
+        yield psi
 
 
 def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
@@ -457,7 +444,8 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
     block = np.empty((2 * walk.space.m, 1))
     block[planes, 0] = psi.real, psi.imag
     for component in walk.frame.components:
-        _evolution(component, block[component.planar], t)
+        for _ in _evolution(component, block[component.planar], t):
+            pass
     real, imag = block[planes, 0]
     return real + 1j * imag
 
@@ -495,11 +483,8 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
     component, rows = _source_arcs(walk, sx)
     n_active = len(space.active)
     profile = np.empty((t_max, n_active))
-
-    def record(t, mass):
-        profile[t] = np.bincount(component.source, mass, minlength=n_active)
-
-    _evolution(component, _one_hot(component, rows), t_max, record)
+    for t, psi in enumerate(_evolution(component, _one_hot(component, rows), t_max)):
+        profile[t] = np.bincount(component.source, np.einsum("ij,ij->i", psi, psi), minlength=n_active)
     return profile / (len(rows) * space.degrees)
 
 
@@ -548,13 +533,13 @@ def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIM
     def row_mass(columns: np.ndarray) -> np.ndarray:
         # every column evolves on its own, so any of them make a state of their own
         out = np.zeros(len(component.source))
-        _evolution(component, _one_hot(component, columns), time_steps, lambda t, mass: np.add(out, mass, out=out))
+        for psi in _evolution(component, _one_hot(component, columns), time_steps):
+            out += np.einsum("ij,ij->i", psi, psi)
         return out
 
     if _split(component, len(rows)):
         half = len(rows) // 2
-        first, second = _beside(lambda: row_mass(rows[:half]), lambda: row_mass(rows[half:]))
-        mass = first + second
+        mass = np.add(*_beside(lambda: row_mass(rows[:half]), lambda: row_mass(rows[half:])))
     else:
         mass = row_mass(rows)
     total = np.bincount(component.source, mass, minlength=len(space.active))
@@ -739,18 +724,28 @@ def _group_masses(space: WalkSpace, pairs: np.ndarray, basis: np.ndarray, groups
 
 
 def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
-    """Spectral decomposition of the step operator from one real symmetric
-    ``eigh`` per lower-connected component in the reverse-arc basis (module
-    docstring).  With the pairs sorted stably by component, each component
-    is taken start to finish on its own pairs: its eigenvectors, kept as its
-    own block of ``basis``, their check, their phase groups and its group
+    """Spectral decomposition of the step operator, ``walk.spectrum``, made
+    on the walk's first call and kept: one real symmetric ``eigh`` per
+    lower-connected component in the reverse-arc basis (module docstring).
+    With the pairs sorted stably by component, each component is taken
+    start to finish on its own pairs: its eigenvectors, kept as its own
+    block of ``basis``, their check, their phase groups and its group
     masses.  Raises NoAdjacencyError on a walk without arcs, and
     NumericalError when the peak exceeds physical memory, when an
     allocation fails anyway, or when a residual exceeds ``RESIDUAL_TOL``.
     The peak is the blocks kept so far beside one ``eigh`` (H, LAPACK's
     copy, its ``2 m_c**2`` workspace and the eigenvectors, which become the
     component's block), at most ``8 sum(m_c**2) + 32 max(m_c)**2`` bytes
-    over the components' arc counts m_c."""
+    over the components' arc counts m_c.  The guard's margin is what that
+    count leaves out: ``ru_maxrss`` growth across the call in fresh
+    processes exceeded it by 4.8-5.8 MiB on karate n = 1 (m = 1,056),
+    3.0-3.8 MiB on a 4 x 25 planted-partition graph at n = 2 (largest
+    component 296 arcs) and 17.6-18.4 MiB (1.7 %) on it at n = 1 (m = 5,300)."""
+    return walk.spectrum
+
+
+def _decompose(walk: UnitaryWalk) -> UnitarySpectrum:
+    """The body of :func:`unitary_spectrum`, run once per walk."""
     space, m = walk.space, walk.space.m
     if m == 0:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {space.n}")
@@ -782,18 +777,7 @@ def unitary_spectrum(walk: UnitaryWalk) -> UnitarySpectrum:
                            residuals.max() + m * _EPS, space)
 
 
-def _spectrum_of(walk: UnitaryWalk, spectrum: UnitarySpectrum | None) -> UnitarySpectrum:
-    """``spectrum``, if it was taken on the walk's space, or the walk's own."""
-    if spectrum is None:
-        return unitary_spectrum(walk)
-    if spectrum.space != walk.space:
-        raise InvalidParameterError(f"the spectrum is of {spectrum.space!r}, not of the walk's {walk.space!r}")
-    return spectrum
-
-
-def long_time_average_spectral(
-    walk: UnitaryWalk, source, spectrum: UnitarySpectrum | None = None
-) -> TransitionTable:
+def long_time_average_spectral(walk: UnitaryWalk, source) -> TransitionTable:
     """Exact infinite-time average of the transition weights from ``source``.
 
     The weight to a target sums ``|<target arc| P_g |source arc>|**2`` over
@@ -803,7 +787,7 @@ def long_time_average_spectral(
     """
     space = walk.space
     sx = space.require_active(source)
-    spec = _spectrum_of(walk, spectrum)
+    spec = walk.spectrum
     ix = space.index[sx]
     members = np.flatnonzero(space.component == space.component[ix])
     masses, weights = spec.masses[space.component[ix]], np.zeros(len(space.active))
@@ -812,9 +796,7 @@ def long_time_average_spectral(
     return TransitionTable(sx, "spectral", weights, spec.error, space)
 
 
-def amplitude_lower_bound(
-    walk: UnitaryWalk, source, target, spectrum: UnitarySpectrum | None = None
-) -> float:
+def amplitude_lower_bound(walk: UnitaryWalk, source, target) -> float:
     """Lower bound on the infinite-time average weight from averaged amplitudes.
 
     Uses the arc superpositions with coefficients ``1/|N^l|`` (note these are
@@ -824,7 +806,7 @@ def amplitude_lower_bound(
     space = walk.space
     sx, sy = space.require_active(source), space.require_active(target)
     bx, by = space.block(sx), space.block(sy)
-    spec = _spectrum_of(walk, spectrum)
+    spec = walk.spectrum
     if space.component[space.index[sx]] != space.component[space.index[sy]]:
         return 0.0  # no eigenvector has amplitude on both
     # <y|v_k><v_k|x> for every eigenvector, summed within each group

@@ -35,7 +35,6 @@ from simqwalk import (
     finite_time_average,
     long_time_average_spectral,
     step_operator,
-    unitary_spectrum,
 )
 
 
@@ -339,7 +338,6 @@ def recruit_reference(K, n, method, time_steps, threshold):
     Isolated simplices follow as singletons."""
     space = build_walk_space(K, n)
     walk = step_operator(space)
-    spectrum = unitary_spectrum(walk) if method == "spectral" and space.m else None
     unassigned = dict.fromkeys(space.active)  # an ordered set, canonical order
     communities = []
     for seed in sorted(space.active, key=lambda s: -space.degree(s)):
@@ -349,7 +347,7 @@ def recruit_reference(K, n, method, time_steps, threshold):
         if method == "finite":
             table = finite_time_average(walk, seed, time_steps)
         else:
-            table = long_time_average_spectral(walk, seed, spectrum)
+            table = long_time_average_spectral(walk, seed)
         members = [seed]
         for candidate in list(unassigned):
             excess = table[candidate] - 1.0 / space.m

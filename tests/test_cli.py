@@ -522,6 +522,20 @@ def test_failed_allocation_is_numerical_error(edges_file, capsys, monkeypatch):
     assert err == "simqwalk: numerical error: the spectrum of 302 arcs ran out of memory\n"
 
 
+@pytest.mark.parametrize("message, line", [
+    ("", "an allocation failed"),
+    ("Unable to allocate 1.15 GiB for an array with shape (985920, 156) and data type float64",
+     "Unable to allocate 1.15 GiB for an array with shape (985920, 156) and data type float64"),
+])
+def test_memory_error_anywhere_is_one_line_and_exit_3(edges_file, capsys, monkeypatch, message, line):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(simqwalk.cli, "clique_complex", no_memory)
+    assert main(["detect", "--dim", "1", "--max-dim", "1", "--time-steps", "2", str(edges_file)]) == 3
+    assert capsys.readouterr().err == f"simqwalk: out of memory: {line}\n"
+
+
 @pytest.mark.parametrize("steps", ["0", "-7"])
 @pytest.mark.parametrize("method", ["finite", "spectral"])
 @pytest.mark.parametrize("command", [["walk", "--source", "1,2"], ["detect"]])
@@ -624,8 +638,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(edges_file):
     assert _cli_calls(commands, OPENBLAS_NUM_THREADS="1") == expected
     assert _cli_calls(commands, OPENBLAS_NUM_THREADS="2") == expected
     # finite commands with every state of two columns or more in two column
-    # halves, the second on a worker thread and, with the interpreter pinned
-    # to one CPU, after the first
+    # halves, the second on a worker thread, which with the interpreter
+    # pinned to one CPU is time-sliced with the caller
     finite = [i for i, argv in enumerate(commands) if "finite" in argv]
     split = "import simqwalk.walk\nsimqwalk.walk._SPLIT_CELLS = 0\n"
     pinned = split + "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"

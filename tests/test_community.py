@@ -9,12 +9,15 @@ from simqwalk import (
     CommunityPartition,
     InvalidParameterError,
     NoAdjacencyError,
+    build_walk_space,
     clique_complex,
     detect_communities,
     exact_down_communities,
     exact_up_communities,
+    long_time_average_spectral,
     membership_matrix,
     simplicial_modularity,
+    step_operator,
     verify_symmetry,
 )
 
@@ -378,6 +381,70 @@ def test_recruitment_matches_the_one_candidate_reference(karate, case, method, t
     # every n-simplex lands in exactly one community
     members = [s for com in part.communities for s in com]
     assert sorted(members) == list(K.simplices(n))
+
+
+def _seeds_tied(K, n, partition) -> bool:
+    """Whether some seed of ``partition`` (communities in discovery order)
+    shared the largest lower degree with another unassigned simplex, so
+    that the canonical order of the labels chose it."""
+    space = build_walk_space(K, n)
+    unassigned = set(space.active)
+    for community in partition.communities:
+        if unassigned:
+            top = max(map(space.degree, unassigned))
+            if sum(space.degree(s) == top for s in unassigned) > 1:
+                return True
+            unassigned -= set(community)
+    return False
+
+
+@pytest.mark.parametrize("method", ["finite", "spectral"])
+def test_detection_under_a_non_monotone_relabeling_of_components(method):
+    # three seeded complexes side by side, relabeled so that their blocks of
+    # ids come in a shuffled order but keep their order inside each block:
+    # every lower neighbourhood keeps its order, so the coin and every
+    # weight stay, and the partition maps over; the discovery order maps
+    # over too where no seed was chosen by the labels among equal degrees
+    untied = 0
+    for seed in range(20):
+        edges, blocks, offset = [], [], 0
+        for K in (random_clique_complex(3 * seed + i) for i in range(3)):
+            blocks.append([offset + v for (v,) in K.simplices(0)])
+            edges += [(offset + u, offset + v) for u, v in K.simplices(1)]
+            offset = blocks[-1][-1]
+        order, rng = [0, 1, 2], random.Random(seed)
+        while order == [0, 1, 2]:
+            rng.shuffle(order)
+        shuffled = [v for i in order for v in blocks[i]]
+        label = dict(zip(shuffled, range(1, len(shuffled) + 1)))
+        K = clique_complex(edges, max_dim=3)
+        relabeled = clique_complex([(label[u], label[v]) for u, v in edges], max_dim=3)
+        for n in (1, 2):
+            part = detect_communities(K, n, method=method)
+            mapped = [tuple(sorted(tuple(sorted(label[v] for v in s)) for s in com)) for com in part]
+            got = detect_communities(relabeled, n, method=method)
+            assert {frozenset(com) for com in mapped} == got.as_sets()
+            if not _seeds_tied(K, n, part):
+                assert tuple(mapped) == got.communities
+                untied += 1
+    assert untied >= 3
+
+
+def test_a_relabeling_that_reorders_a_neighbourhood_changes_the_weights():
+    # the Fourier coin's entry (a, b) is w**(a*b) over the canonical order of
+    # the source's lower neighbours, so it is not invariant under reordering
+    # them: a general relabeling changes the walk, not only its positions
+    K = random_clique_complex(13)
+    shuffled = [v for (v,) in K.simplices(0)]
+    random.Random(13).shuffle(shuffled)
+    label = dict(zip(sorted(shuffled), shuffled))
+    relabeled = clique_complex([(label[u], label[v]) for u, v in K.simplices(1)], max_dim=3)
+    walk, other = (step_operator(build_walk_space(L, 1)) for L in (K, relabeled))
+    source = walk.space.active[0]
+    ours = long_time_average_spectral(walk, source)
+    theirs = long_time_average_spectral(other, tuple(sorted(label[v] for v in source)))
+    gap = max(abs(ours[s] - theirs[tuple(sorted(label[v] for v in s))]) for s in walk.space.active)
+    assert gap > 0.1 / walk.space.m
 
 
 def test_karate_edge_detection_pinned(karate):

@@ -382,15 +382,15 @@ def test_public_walk_calls_keep_the_blas_count(blas_threads, karate):
     # the walk runs on the pool as configured and never sets a thread count
     walk = walk_on(karate, 3)
     source, target = walk.space.active[:2]
-    spec = unitary_spectrum(walk)
     assert blas_threads() == 2
     for call in (
+        lambda: unitary_spectrum(walk),
         lambda: evolve(walk, basis_state(walk, *walk.space.arcs[0]), 5),
         lambda: transition_profile(walk, source, 5),
         lambda: transition_probability(walk, source, target, 5),
         lambda: finite_time_average(walk, source, 5),
         lambda: long_time_average_spectral(walk, source),
-        lambda: amplitude_lower_bound(walk, source, target, spec),
+        lambda: amplitude_lower_bound(walk, source, target),
     ):
         call()
         assert blas_threads() == 2
@@ -399,15 +399,16 @@ def test_public_walk_calls_keep_the_blas_count(blas_threads, karate):
 # -- two halves --------------------------------------------------------------------------
 
 
-def _cpus(monkeypatch, count: int) -> None:
-    """Let the library see ``count`` CPUs in the process's affinity set."""
-    monkeypatch.setattr(walk_module.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+def _in_turn(first, second):
+    """A stand-in for ``walk._beside`` that steps the second half after the
+    first, on the caller's thread."""
+    return first(), second()
 
 
 def _force_split(monkeypatch) -> list:
     """Evolve every finite-average state of two columns or more as two
-    column halves, the second on a worker thread as on two CPUs; returns
-    the list that records the column count of each split state."""
+    column halves; returns the list that records the column count of each
+    split state."""
     splits, split = [], walk_module._split
 
     def recorded(component, columns):
@@ -418,7 +419,6 @@ def _force_split(monkeypatch) -> list:
 
     monkeypatch.setattr(walk_module, "_split", recorded)
     monkeypatch.setattr(walk_module, "_SPLIT_CELLS", 0)
-    _cpus(monkeypatch, 2)
     return splits
 
 
@@ -441,7 +441,7 @@ def _check_halves(monkeypatch, walks, time_steps) -> int:
     # each split state's second half, and only that, ran on a worker
     split = len(splits)
     assert sum(thread is not threading.main_thread() for thread in threads) == split
-    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(walk_module, "_beside", _in_turn)
     threads.clear()
     sequential = _tables(walks, time_steps)
     assert len(splits) == 2 * split and all(thread is threading.main_thread() for thread in threads)
@@ -480,9 +480,10 @@ def test_split_under_thread_pressure_changes_no_value(karate, monkeypatch):
     walk = walk_on(karate, 1)
     sources = walk.space.active[:6]
     splits = _force_split(monkeypatch)
-    _cpus(monkeypatch, 1)
+    beside = walk_module._beside
+    monkeypatch.setattr(walk_module, "_beside", _in_turn)
     expected = [finite_time_average(walk, source, 30).weights for source in sources]
-    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(walk_module, "_beside", beside)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -566,12 +567,12 @@ def test_a_slow_worker_changes_no_value(karate, monkeypatch):
                 time.sleep(0.002)
             return getattr(ufunc, method)(self.coin, *inputs[1:], **kwargs)
 
-    splits = _force_split(monkeypatch)
+    splits, beside = _force_split(monkeypatch), walk_module._beside
     for walk, source in _split_walks(karate):
-        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(walk_module, "_beside", _in_turn)
         expected = finite_time_average(walk, source, 30).weights
         _replace_coin(walk, source, SlowCoin)
-        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(walk_module, "_beside", beside)
         assert np.array_equal(finite_time_average(walk, source, 30).weights, expected)
     assert len(splits) >= 60
 
@@ -720,11 +721,11 @@ def test_each_seed_evolves_exactly_on_its_own_component(karate, case):
         for t in range(1, horizon + 1):
             dense = oracles.transition_weights_dense(walk, source, t)
             assert np.abs(profile[t - 1] - [dense[s] for s in space.active]).max() <= table.error
-        spectral = long_time_average_spectral(walk, source, spec).weights
+        spectral = long_time_average_spectral(walk, source).weights
         assert np.all(spectral[outside] == 0.0) and not np.signbit(spectral[outside]).any()
         assert spectral[~outside].min() > 0.0
         target = space.active[np.flatnonzero(outside)[0]]
-        assert amplitude_lower_bound(walk, source, target, spec) == 0.0
+        assert amplitude_lower_bound(walk, source, target) == 0.0
     rng = np.random.default_rng(17)
     state = rng.normal(size=space.m) + 1j * rng.normal(size=space.m)
     for t in range(1, 6):
@@ -832,12 +833,36 @@ def test_path_long_time_average(path_complex):
     assert table[(1, 2)] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_one_decomposition_per_walk(karate, monkeypatch):
+    # spectral detection decomposes its walk once, before its first seed,
+    # and every later average and bound on that walk reads the kept spectrum
+    walks, events, decompose = [], [], walk_module._decompose
+    average = simqwalk.community.long_time_average_spectral
+
+    def recorded(space):
+        walks.append(step_operator(space))
+        return walks[-1]
+
+    monkeypatch.setattr(simqwalk.community, "step_operator", recorded)
+    monkeypatch.setattr(walk_module, "_decompose", lambda walk: events.append(walk) or decompose(walk))
+    monkeypatch.setattr(simqwalk.community, "long_time_average_spectral",
+                        lambda *args: events.append("seed") or average(*args))
+    detect_communities(karate, 2, method="spectral")
+    (walk,) = walks
+    assert events[0] is walk and events[1:] == ["seed"] * (len(events) - 1) and len(events) > 2
+    space = walk.space
+    for source in space.active[::7]:
+        long_time_average_spectral(walk, source)
+        amplitude_lower_bound(walk, source, space.active[-1])
+    assert unitary_spectrum(walk) is walk.spectrum
+    assert sum(event != "seed" for event in events) == 1
+
+
 def test_spectral_sum_rule(karate):
     walk = walk_on(karate, 3)
     degrees = np.array([walk.space.degree(s) for s in walk.space.active])
-    spec = unitary_spectrum(walk)
     for source in walk.space.active[:3]:
-        table = long_time_average_spectral(walk, source, spec)
+        table = long_time_average_spectral(walk, source)
         assert table.weights @ degrees == pytest.approx(1.0, abs=1e-9)
 
 
@@ -849,7 +874,7 @@ def test_projector_formula_reduces_when_phases_distinct(filled_triangle):
     eigenvalues, eigenvectors = np.linalg.eig(walk.step.toarray())
     space = walk.space
     for source in space.active:
-        table = long_time_average_spectral(walk, source, spec)
+        table = long_time_average_spectral(walk, source)
         bx = space.block(source)
         d_source = bx.stop - bx.start
         for target in space.active:
@@ -863,31 +888,14 @@ def test_projector_formula_reduces_when_phases_distinct(filled_triangle):
             assert table[target] == pytest.approx(expected, abs=1e-10)
 
 
-def test_spectrum_of_another_walk_is_refused(karate, karate_walk_n2):
-    # karate n = 3's spectrum with the n = 2 walk: the average used to raise
-    # numpy's shape error and the bound to return a number about n = 3
-    spec = unitary_spectrum(walk_on(karate, 3))
-    source, target = karate_walk_n2.space.active[:2]
-    with pytest.raises(InvalidParameterError, match="spectrum is of WalkSpace\\(n=3"):
-        long_time_average_spectral(karate_walk_n2, source, spec)
-    with pytest.raises(InvalidParameterError, match="spectrum is of WalkSpace\\(n=3"):
-        amplitude_lower_bound(karate_walk_n2, source, target, spec)
-    # a space built again from the same complex is the same walk space
-    again = walk_on(karate, 3)
-    source, target = again.space.active[:2]
-    assert long_time_average_spectral(again, source, spec)[target] > 0.0
-    assert amplitude_lower_bound(again, source, target, spec) >= 0.0
-
-
 def test_finite_converges_to_spectral(bowtie):
     walk = walk_on(bowtie)
-    spec = unitary_spectrum(walk)
     errors = []
     for horizon in (100, 400):
         worst = 0.0
         for source in walk.space.active:
             finite = finite_time_average(walk, source, horizon)
-            exact = long_time_average_spectral(walk, source, spec)
+            exact = long_time_average_spectral(walk, source)
             worst = max(
                 worst,
                 max(abs(finite[s] - exact[s]) for s in walk.space.active),
@@ -896,9 +904,9 @@ def test_finite_converges_to_spectral(bowtie):
     assert errors[1] < errors[0]
 
 
-def test_finite_approaches_spectral_on_karate_edges(karate_walk_n1, karate_spectrum_n1):
-    walk, spec = karate_walk_n1, karate_spectrum_n1
-    exact = long_time_average_spectral(walk, (33, 34), spec)
+def test_finite_approaches_spectral_on_karate_edges(karate_walk_n1):
+    walk = karate_walk_n1
+    exact = long_time_average_spectral(walk, (33, 34))
     gaps = []
     for horizon in (100, 300):
         finite = finite_time_average(walk, (33, 34), horizon)
@@ -918,7 +926,7 @@ def test_finite_converges_to_spectral_with_degenerate_phases(karate):
         worst = 0.0
         for source in walk.space.active:
             finite = finite_time_average(walk, source, horizon)
-            exact = long_time_average_spectral(walk, source, spec)
+            exact = long_time_average_spectral(walk, source)
             worst = max(worst, max(abs(finite[s] - exact[s]) for s in walk.space.active))
         gaps.append(worst)
     assert gaps[1] < gaps[0]
@@ -960,7 +968,7 @@ def _check_against_schur(walk, spec, sources):
     total = np.bincount(match, [len(g) for g in spec.groups], minlength=len(groups))
     assert total.tolist() == [len(g) for g in groups]
     for source in sources:
-        table = long_time_average_spectral(walk, source, spec)
+        table = long_time_average_spectral(walk, source)
         reference = oracles.projector_weights(walk, source, vectors, groups)
         # the oracle's exactly-zero weights are rounding noise of order
         # 1e-29; the library's are exact zeros
@@ -1184,7 +1192,7 @@ def test_isomorphic_copies_share_no_phase_group_and_get_the_same_weights(shape, 
         expected = None
         for f in maps:
             own = [space.index[tuple(f[u] for u in s)] for s in shapes]
-            weights = [long_time_average_spectral(walk, space.active[ix], spec).weights for ix in own]
+            weights = [long_time_average_spectral(walk, space.active[ix]).weights for ix in own]
             outside = np.ones(len(space.active), dtype=bool)
             outside[own] = False
             assert all(np.all(w[outside] == 0.0) for w in weights)
@@ -1212,18 +1220,19 @@ def _fake_memory(monkeypatch, mib):
     monkeypatch.setattr(walk_module, "_reverse_arc_entries", no_dense)
 
 
-def test_memory_guard_refuses_dense_spectrum(karate_walk_n1, monkeypatch):
+def test_memory_guard_refuses_dense_spectrum(karate, monkeypatch):
     # the eigh peaks at 40 m**2 bytes, 44.6 MB (42.5 MiB) for m = 1056 arcs;
-    # H and its eigenvectors alone (16 m**2) would fit in 42 MiB
+    # H and its eigenvectors alone (16 m**2) would fit in 42 MiB (a fresh
+    # walk: the session walk keeps its spectrum once made)
     _fake_memory(monkeypatch, 42)
     with pytest.raises(NumericalError, match="physical memory"):
-        unitary_spectrum(karate_walk_n1)
+        unitary_spectrum(walk_on(karate, 1))
 
 
-def test_memory_guard_admits_a_spectrum_that_fits(karate_walk_n1, monkeypatch):
+def test_memory_guard_admits_a_spectrum_that_fits(karate, monkeypatch):
     _fake_memory(monkeypatch, 43)
     with pytest.raises(AssertionError, match="dense work started"):
-        unitary_spectrum(karate_walk_n1)
+        unitary_spectrum(walk_on(karate, 1))
 
 
 def test_memory_guard_counts_the_largest_component(monkeypatch):
@@ -1332,34 +1341,34 @@ def test_self_bound_nonnegative(bowtie):
 
 def test_bound_below_long_time_average(karate):
     walk = walk_on(karate, 3)
-    spec = unitary_spectrum(walk)
     for source in walk.space.active:
-        table = long_time_average_spectral(walk, source, spec)
+        table = long_time_average_spectral(walk, source)
         for target in walk.space.active:
-            bound = amplitude_lower_bound(walk, source, target, spec)
+            bound = amplitude_lower_bound(walk, source, target)
             assert bound <= table[target] + 1e-9
 
 
-def test_bound_below_average_karate_edges(karate_walk_n1, karate_spectrum_n1):
-    walk, spec = karate_walk_n1, karate_spectrum_n1
+def test_bound_below_average_karate_edges(karate_walk_n1):
+    walk = karate_walk_n1
     rng = random.Random(5)
     sources = rng.sample(walk.space.active, 3)
     for source in sources:
-        table = long_time_average_spectral(walk, source, spec)
+        table = long_time_average_spectral(walk, source)
         for target in rng.sample(walk.space.active, 4):
-            bound = amplitude_lower_bound(walk, source, target, spec)
+            bound = amplitude_lower_bound(walk, source, target)
             assert bound <= table[target] + 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_bound_reads_only_its_two_blocks(karate, karate_walk_n1, n):
-    # the bound builds no m x m ``vectors``, and equals the sum over them
-    walk = karate_walk_n1 if n == 1 else walk_on(karate, n)
-    spec = unitary_spectrum(walk)  # its own, with no ``vectors`` built yet
+def test_bound_reads_only_its_two_blocks(karate, n):
+    # the bound builds no m x m ``vectors``, and equals the sum over them;
+    # a fresh walk, as the session walk's kept spectrum may have built them
+    walk = walk_on(karate, n)
+    spec = unitary_spectrum(walk)
     space = walk.space
     pairs = [(space.active[i], space.active[j]) for i in range(0, len(space.active), 11)
              for j in range(0, len(space.active), 7)]
-    bounds = [amplitude_lower_bound(walk, x, y, spec) for x, y in pairs]
+    bounds = [amplitude_lower_bound(walk, x, y) for x, y in pairs]
     assert "vectors" not in spec.__dict__
     for (x, y), bound in zip(pairs, bounds):
         terms = spec.vectors[space.block(y)].mean(axis=0) * spec.vectors[space.block(x)].mean(axis=0).conj()
@@ -1392,9 +1401,9 @@ def test_time_average_of_phase_differences_is_bounded():
 
 def test_spectrum_and_table_compare_by_identity(filled_triangle):
     # == on two instances returns a bool, where a generated __eq__ over
-    # array fields raised ValueError
+    # array fields raised ValueError; each walk keeps its one spectrum
     w = walk_on(filled_triangle)
-    for a, b in [(unitary_spectrum(w), unitary_spectrum(w)),
+    for a, b in [(unitary_spectrum(w), unitary_spectrum(walk_on(filled_triangle))),
                  (finite_time_average(w, (1, 2), 5), finite_time_average(w, (1, 2), 5)),
                  (long_time_average_spectral(w, (1, 2)), long_time_average_spectral(w, (1, 2)))]:
         assert (a == b) is False and (a != b) is True
