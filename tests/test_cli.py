@@ -609,17 +609,26 @@ _WALK_CASES = ([(n, source, "finite") for n, source in _WALK_SOURCES]
                + [(n, source, "spectral") for n, source in _WALK_SOURCES[1:]])
 
 
-def _walk_argv(n, source, method, edges_file):
+_WALK_IDS = [f"{n}-{source}" + ("-spectral" if method == "spectral" else "")
+             for n, source, method in _WALK_CASES]
+
+
+def _walk_argv(n, source, method, edges_file, fmt="json"):
     return ["walk", "--dim", str(n), "--source", source, "--method", method,
-            "--time-steps", "100", "--format", "json", str(edges_file)]
+            "--time-steps", "100", "--format", fmt, str(edges_file)]
 
 
-@pytest.mark.parametrize("n, source, method", _WALK_CASES,
-                         ids=[f"{n}-{source}" + ("-spectral" if method == "spectral" else "")
-                              for n, source, method in _WALK_CASES])
+@pytest.mark.parametrize("n, source, method", _WALK_CASES, ids=_WALK_IDS)
 def test_karate_walk_matches_goldens(edges_file, capsys, n, source, method):
     golden = ROOT / "tests" / "golden" / f"karate_walk_n{n}_{method}.json"
     assert main(_walk_argv(n, source, method, edges_file)) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("n, source, method", _WALK_CASES, ids=_WALK_IDS)
+def test_karate_walk_csv_matches_goldens(edges_file, capsys, n, source, method):
+    golden = ROOT / "tests" / "golden" / f"karate_walk_n{n}_{method}.csv"
+    assert main(_walk_argv(n, source, method, edges_file, "csv")) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
@@ -631,8 +640,13 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(edges_file):
                              "--time-steps", "100", str(edges_file)])
             goldens.append(ROOT / "bench" / "golden" / f"karate_detect_n{n}_{method}.json")
     for n, source, method in _WALK_CASES:
-        commands.append(_walk_argv(n, source, method, edges_file))
-        goldens.append(ROOT / "tests" / "golden" / f"karate_walk_n{n}_{method}.json")
+        for fmt in ("json", "csv"):
+            commands.append(_walk_argv(n, source, method, edges_file, fmt))
+            goldens.append(ROOT / "tests" / "golden" / f"karate_walk_n{n}_{method}.{fmt}")
+    for n in range(5):
+        for command, fmt in (("spectrum", "json"), ("spectrum", "csv"), ("verify", "json")):
+            commands.append([command, "--dim", str(n), "--format", fmt, str(edges_file)])
+            goldens.append(ROOT / "tests" / "golden" / f"karate_{command}_n{n}.{fmt}")
     empty = hashlib.sha256(b"").hexdigest()
     expected = [[0, hashlib.sha256(golden.read_bytes()).hexdigest(), empty] for golden in goldens]
     assert _cli_calls(commands, OPENBLAS_NUM_THREADS="1") == expected
@@ -665,6 +679,45 @@ def test_karate_hodge_matches_goldens(edges_file, capsys, n, command):
     golden = ROOT / "tests" / "golden" / f"karate_{command}_n{n}.json"
     assert main([command, "--dim", str(n), str(edges_file)]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_karate_spectrum_csv_matches_goldens(edges_file, capsys, n):
+    golden = ROOT / "tests" / "golden" / f"karate_spectrum_n{n}.csv"
+    assert main(["spectrum", "--dim", str(n), "--format", "csv", str(edges_file)]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def _floats(value):
+    """Every float in a parsed JSON document."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _floats(item)
+
+
+def test_every_json_float_has_12_significant_digits(tmp_path, capsys, monkeypatch):
+    # the goldens, and the planted-partition calls of the benchmark's
+    # hodge-structure and planted-triangles workloads
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "tests" / "golden").glob("*.json"))
+                         + sorted((ROOT / "bench" / "golden").glob("*.json"))]
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    workloads._prepare_hodge_structure(1, tmp_path)
+    workloads._prepare_planted_triangles(1, tmp_path)
+    p160, p240 = ["--max-dim", "3", str(tmp_path / "p160.txt")], ["--max-dim", "3", str(tmp_path / "p240.txt")]
+    for argv in (["spectrum", "--dim", "1", *p160],
+                 ["modularity", "--dim", "1", "--partition", str(tmp_path / "p160_blocks_n1.json"), *p160],
+                 ["detect", "--dim", "2", *p240]):
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    assert len(texts) == 36
+    floats = [x for text in texts for x in _floats(json.loads(text))]
+    assert len(floats) == 1422
+    assert [x for x in floats if x != float(f"{x:.12g}")] == []
 
 
 def test_modularity_non_utf8_partition_is_io_error(edges_file, tmp_path, capsys):
