@@ -97,15 +97,9 @@ def _build_parser() -> _Parser:
 # -- serialization ------------------------------------------------------------
 
 
-def _round_floats(value):
-    """12-significant-digit float formatting, applied recursively."""
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
-    return value
+def _round(x: float) -> float:
+    """``x`` to 12 significant digits, as each float enters a payload."""
+    return float(f"{x:.12g}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -114,10 +108,6 @@ def _emit(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -133,20 +123,10 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-def _simplex_json(simplex) -> list[int]:
-    return [int(v) for v in simplex]
-
-
 # -- subcommands --------------------------------------------------------------
 
 
-def _load_complex(args) -> SimplicialComplex:
-    edges = read_edge_list(args.input)
-    return clique_complex(edges, max_dim=args.max_dim)
-
-
-def _cmd_build(args) -> tuple[dict, list[str], list[list], str | None]:
-    complex_ = _load_complex(args)
+def _cmd_build(args, complex_: SimplicialComplex) -> tuple[dict, list[str], list[list], str | None]:
     counts = complex_.counts
     payload = {
         "max_dim": complex_.max_dim,
@@ -156,17 +136,15 @@ def _cmd_build(args) -> tuple[dict, list[str], list[list], str | None]:
     return payload, ["dim", "count"], rows, None
 
 
-def _cmd_spectrum(args) -> tuple[dict, list[str], list[list], str | None]:
-    complex_ = _load_complex(args)
+def _cmd_spectrum(args, complex_: SimplicialComplex) -> tuple[dict, list[str], list[list], str | None]:
     report = laplacian_spectrum(complex_, args.dim, kernel_tol=args.tolerance)
-    eigenvalues = [float(x) for x in report.eigenvalues]
+    eigenvalues = list(map(_round, report.eigenvalues.tolist()))
     payload = {"dim": report.n, "eigenvalues": eigenvalues, "betti": report.betti}
     rows = [[report.n, i, x] for i, x in enumerate(eigenvalues)]
     return payload, ["dim", "index", "eigenvalue"], rows, None
 
 
-def _cmd_walk(args) -> tuple[dict, list[str], list[list], str | None]:
-    complex_ = _load_complex(args)
+def _cmd_walk(args, complex_: SimplicialComplex) -> tuple[dict, list[str], list[list], str | None]:
     try:
         vertices = [int(v) for v in args.source.split(",")]
     except ValueError:
@@ -181,20 +159,19 @@ def _cmd_walk(args) -> tuple[dict, list[str], list[list], str | None]:
         table = finite_time_average(walk, source, args.time_steps)
     else:
         table = long_time_average_spectral(walk, source)
-    entries = list(zip(walk.space.active, table.weights.tolist()))
+    entries = list(zip(walk.space.active, map(_round, table.weights.tolist())))
     payload = {
         "dim": args.dim,
-        "source": _simplex_json(table.source),
+        "source": table.source,
         "method": args.method,
         "time_steps": args.time_steps if args.method == "finite" else None,
-        "table": [{"target": _simplex_json(s), "q": q} for s, q in entries],
+        "table": [{"target": s, "q": q} for s, q in entries],
     }
     rows = [[s, q] for s, q in entries]
     return payload, ["target", "q"], rows, None
 
 
-def _cmd_detect(args) -> tuple[dict, list[str], list[list], str | None]:
-    complex_ = _load_complex(args)
+def _cmd_detect(args, complex_: SimplicialComplex) -> tuple[dict, list[str], list[list], str | None]:
     partition = detect_communities(
         complex_,
         args.dim,
@@ -203,7 +180,7 @@ def _cmd_detect(args) -> tuple[dict, list[str], list[list], str | None]:
         threshold=args.threshold,
     )
     try:
-        modularity = simplicial_modularity(complex_, args.dim, partition).modularity
+        modularity = _round(simplicial_modularity(complex_, args.dim, partition).modularity)
     except NoAdjacencyError:
         modularity = None  # undefined without lower-adjacent pairs
     payload = {
@@ -211,7 +188,7 @@ def _cmd_detect(args) -> tuple[dict, list[str], list[list], str | None]:
         "method": args.method,
         "time_steps": args.time_steps if args.method == "finite" else None,
         "threshold": args.threshold,
-        "communities": [[_simplex_json(s) for s in com] for com in partition],
+        "communities": partition.communities,
         "modularity": modularity,
     }
     rows = [[i, s] for i, com in enumerate(partition) for s in com]
@@ -259,8 +236,7 @@ def _canonical_simplices(community) -> list:
     return [canonical_simplex(simplex) for simplex in community]
 
 
-def _cmd_modularity(args) -> tuple[dict, list[str], list[list], str | None]:
-    complex_ = _load_complex(args)
+def _cmd_modularity(args, complex_: SimplicialComplex) -> tuple[dict, list[str], list[list], str | None]:
     try:
         with open(args.partition, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -275,19 +251,19 @@ def _cmd_modularity(args) -> tuple[dict, list[str], list[list], str | None]:
             f"partition JSON must carry a 'communities' list of simplex lists: {exc}"
         ) from exc
     report = simplicial_modularity(complex_, args.dim, communities)
+    modularity, contributions = _round(report.modularity), list(map(_round, report.contributions))
     payload = {
         "dim": report.n,
         "arc_count": report.arc_count,
-        "modularity": report.modularity,
-        "contributions": list(report.contributions),
+        "modularity": modularity,
+        "contributions": contributions,
     }
-    rows = [[i, c] for i, c in enumerate(report.contributions)]
-    rows.append(["total", report.modularity])
+    rows = [[i, c] for i, c in enumerate(contributions)]
+    rows.append(["total", modularity])
     return payload, ["community", "contribution"], rows, None
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], list[list], str | None]:
-    complex_ = _load_complex(args)
+def _cmd_verify(args, complex_: SimplicialComplex) -> tuple[dict, list[str], list[list], str | None]:
     report = verify_chain_identities(complex_, args.dim)
     payload = {
         "dim": report.n,
@@ -313,9 +289,10 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> int:
     if args.format == "dot" and args.command != "detect":
         raise InvalidParameterError("dot output is only available for 'detect'")
-    payload, header, rows, dot = _COMMANDS[args.command](args)
+    complex_ = clique_complex(read_edge_list(args.input), max_dim=args.max_dim)
+    payload, header, rows, dot = _COMMANDS[args.command](args, complex_)
     if args.format == "json":
-        _emit(_json_text(payload), args.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
     elif args.format == "csv":
         _emit(_csv_text(header, rows), args.output)
     else:

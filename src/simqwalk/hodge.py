@@ -167,7 +167,7 @@ def laplacian_spectrum(
                 stack = np.zeros((np.count_nonzero(size == k) // k, k, k))
                 stack[which[row[entry]], at[row[entry]], at[col[entry]]] = data[entry]
                 parts.append(np.linalg.eigvalsh(stack).ravel())
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed at dimension {n}") from exc
     eigenvalues = np.sort(np.concatenate(parts))[-K.num_simplices(n):]
     betti = int(np.count_nonzero(eigenvalues < kernel_tol))

@@ -48,28 +48,24 @@ spectral average's row product and the ``eigh``, LAPACK's divide-and-conquer
 count.  Each column of a finite-average state evolves on its own, so a
 large state (``_split``) is evolved as two column halves, each a state with
 its own buffers: the caller's thread steps one and one worker thread the
-other, on any number of CPUs.  Pinned to one CPU the two are time-sliced:
-a 6 x 40 planted-partition ``detect_communities(K, 2)`` took medians of
-0.47-0.52 s against 0.44-0.49 s with the halves one after the other, whose
-run times overlapped (0.33-0.62 s, 2 rounds of 12 alternated runs at one
-and at two BLAS threads).  The halves' row masses are added once both have
-ended, so the bytes do not depend on the threads; against the whole state
-they are summed in another order, so they differ in the last bits, within
-the table's error.  Both estimators run on numpy alone; ``scipy.sparse``
-is loaded only by the sparse coin, shift and step.
+other, on any number of CPUs (pinned to one they are time-sliced; README,
+"Threads", gives the timings).  The halves' row masses are added once both
+have ended, so the bytes do not depend on the threads; against the whole
+state they are summed in another order, so they differ in the last bits,
+within the table's error.  Both estimators run on numpy alone;
+``scipy.sparse`` is loaded only by the sparse coin, shift and step.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .complexes import Simplex, SimplicialComplex, _integer
+from .complexes import Simplex, SimplicialComplex, _integer, _require_memory
 from .errors import (
     InvalidParameterError,
     IsolatedSimplexError,
@@ -450,11 +446,17 @@ def evolve(walk: UnitaryWalk, state: np.ndarray, t: int) -> np.ndarray:
     return real + 1j * imag
 
 
-def _source_arcs(walk: UnitaryWalk, source: Simplex) -> tuple[_Component, np.ndarray]:
+def _source_arcs(walk: UnitaryWalk, source: Simplex, table: int = 0) -> tuple[_Component, np.ndarray]:
     """The component of an active source and the real planar row, in it,
-    of each of the source's initial arcs."""
+    of each of the source's initial arcs.  Raises NumericalError when its
+    planar state and matmul buffer, ``16 * 2 m_c * d`` bytes for d initial
+    arcs (halves split the columns, not the bytes), and ``table`` more bytes
+    exceed physical memory."""
     component = walk.frame.components[walk.space.component[walk.space.index[source]]]
-    return component, walk.frame.planes[0, walk.space.block(source)] - component.planar.start
+    rows = walk.frame.planes[0, walk.space.block(source)] - component.planar.start
+    _require_memory(16 * len(component.source) * len(rows) + table,
+                    f"evolving {len(rows)} arcs from {source} on {len(component.source) // 2} arcs")
+    return component, rows
 
 
 def _one_hot(component: _Component, rows: np.ndarray) -> np.ndarray:
@@ -475,17 +477,19 @@ def transition_profile(walk: UnitaryWalk, source, t_max: int) -> np.ndarray:
     Each row satisfies ``row @ degrees == 1`` (unitarity).
 
     One batched evolution of all the source's initial arcs serves every
-    target simultaneously.
+    target simultaneously.  Raises NumericalError, before any step, when
+    the state and the table exceed physical memory (:func:`_source_arcs`).
     """
     t_max = _integer(t_max, "t_max", 1)
     space = walk.space
     sx = space.require_active(source)
-    component, rows = _source_arcs(walk, sx)
     n_active = len(space.active)
+    component, rows = _source_arcs(walk, sx, 8 * t_max * n_active)
     profile = np.empty((t_max, n_active))
     for t, psi in enumerate(_evolution(component, _one_hot(component, rows), t_max)):
         profile[t] = np.bincount(component.source, np.einsum("ij,ij->i", psi, psi), minlength=n_active)
-    return profile / (len(rows) * space.degrees)
+    profile /= len(rows) * space.degrees
+    return profile
 
 
 def transition_probability(walk: UnitaryWalk, source, target, t: int) -> float:
@@ -514,9 +518,10 @@ class TransitionTable:
 
 
 def finite_time_average(walk: UnitaryWalk, source, time_steps: int = DEFAULT_TIME_STEPS) -> TransitionTable:
-    """Average the transition weights over times ``1..time_steps``.  Raises
-    InvalidParameterError, before any step, for a horizon whose error bound
-    reaches 1, the norm of the state it bounds."""
+    """Average the transition weights over times ``1..time_steps``.  Raises,
+    before any step, InvalidParameterError for a horizon whose error bound
+    reaches 1, the norm of the state it bounds, and NumericalError for a
+    state beyond physical memory (:func:`_source_arcs`)."""
     time_steps = _integer(time_steps, "time_steps", 1)
     space = walk.space
     sx = space.require_active(source)
@@ -751,11 +756,7 @@ def _decompose(walk: UnitaryWalk) -> UnitarySpectrum:
         raise NoAdjacencyError(f"no lower-adjacent pairs at dimension {space.n}")
     sizes = np.bincount(space.component[space.source])
     stops = np.cumsum(sizes).tolist()
-    need = 8 * int(sizes @ sizes) + 32 * int(sizes.max()) ** 2
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise NumericalError(f"the spectrum of {m} arcs needs {need / 2**30:.1f} GiB, "
-                             f"more than the {have / 2**30:.1f} GiB of physical memory")
+    _require_memory(8 * int(sizes @ sizes) + 32 * int(sizes.max()) ** 2, f"the spectrum of {m} arcs")
     first = np.flatnonzero(np.arange(m) < space.reverse)
     first = first[np.argsort(space.component[space.source[first]], kind="stable")]
     pairs = np.stack([first, space.reverse[first]])

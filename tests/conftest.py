@@ -1,3 +1,4 @@
+import os
 import random
 import threading
 
@@ -18,6 +19,12 @@ def no_thread_outlives_the_test():
     left = [t.name for t in threading.enumerate() if t not in before and not t.daemon]
     if left:
         pytest.fail(f"threads left running after the test: {left}")
+
+
+def fake_physical_memory(monkeypatch, nbytes):
+    """Report ``nbytes`` of physical memory, in whole 4 KiB pages, to the memory guards."""
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(os, "sysconf", memory.get)
 
 
 def random_clique_complex(seed):

@@ -13,6 +13,7 @@ import simqwalk.walk
 from simqwalk import karate_club_edges
 from simqwalk.cli import _build_parser, main
 
+from conftest import fake_physical_memory
 from reference_karate import TRIANGLE_COMMUNITIES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -503,13 +504,25 @@ def test_modularity_rejects_non_integral_vertex(edges_file, tmp_path, capsys, ve
 
 
 def test_spectral_walk_beyond_memory_is_numerical_error(edges_file, capsys, monkeypatch):
-    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
-    monkeypatch.setattr(simqwalk.walk.os, "sysconf", memory.get)
+    fake_physical_memory(monkeypatch, 2**20)
     argv = ["walk", "--dim", "1", "--source", "1,2", "--method", "spectral", str(edges_file)]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("simqwalk: numerical error:") and "physical memory" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["build"], "enumerating 88 candidate 2-simplices"),
+    (["walk", "--dim", "1", "--max-dim", "1", "--source", "1,2"], "evolving 23 arcs from (1, 2) on 1056 arcs"),
+])
+def test_memory_guards_refuse_in_one_line_with_exit_3(edges_file, capsys, monkeypatch, argv, refusal):
+    # one 4 KiB page: karate's 88 triangle candidates take 4,312 bytes, and
+    # the state from edge (1, 2) takes 777,216
+    fake_physical_memory(monkeypatch, 4096)
+    assert main(argv + [str(edges_file)]) == 3
+    assert capsys.readouterr().err == (f"simqwalk: numerical error: {refusal} needs 0.0 GiB, "
+                                       "more than the 0.0 GiB of physical memory\n")
 
 
 def test_failed_allocation_is_numerical_error(edges_file, capsys, monkeypatch):

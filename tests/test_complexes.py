@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -10,6 +11,7 @@ from simqwalk import (
     DegenerateSimplexError,
     InvalidEdgeError,
     InvalidParameterError,
+    NumericalError,
     SimplicialComplex,
     UnknownSimplexError,
     build_walk_space,
@@ -37,7 +39,7 @@ from simqwalk import (
 )
 
 import oracles
-from conftest import K4_EDGES, random_clique_complex
+from conftest import K4_EDGES, fake_physical_memory, random_clique_complex
 
 
 def test_canonical_simplex_sorts():
@@ -106,6 +108,31 @@ def test_karate_counts(karate):
 def test_clique_complex_rejects_self_loop():
     with pytest.raises(InvalidEdgeError):
         clique_complex([(1, 1)], max_dim=2)
+
+
+def test_clique_complex_rejects_vertex_zero():
+    with pytest.raises(InvalidEdgeError, match=r"^vertex ids must be >= 1, got \(0, 1\)$"):
+        clique_complex([(0, 1)])
+
+
+def test_memory_guard_refuses_clique_candidates(monkeypatch):
+    # K_100 up to triangles: each of the C(100, 3) = 161,700 candidates (an
+    # edge and a larger neighbour of its larger end) is a triangle; at 49
+    # bytes each they take 7.6 MiB
+    edges = list(itertools.combinations(range(1, 101), 2))
+    need = 49 * 161700
+
+    def no_candidates(indices, counts):
+        raise AssertionError(f"materialising {counts.sum()} candidates")
+
+    monkeypatch.setattr(np, "repeat", no_candidates)
+    fake_physical_memory(monkeypatch, need - 2**20)
+    with pytest.raises(NumericalError, match="^enumerating 161700 candidate 2-simplices needs 0.0 GiB, "
+                                             "more than the 0.0 GiB of physical memory$"):
+        clique_complex(edges, max_dim=2)
+    fake_physical_memory(monkeypatch, need + 2**20)
+    with pytest.raises(AssertionError, match="^materialising 161700 candidates$"):
+        clique_complex(edges, max_dim=2)
 
 
 def test_clique_complex_rejects_bad_max_dim():
@@ -416,6 +443,12 @@ def test_lower_adjacency_needs_positive_dim(karate):
         karate.adjacency(0, "lower")
 
 
+def test_unknown_adjacency_flavor_is_refused(karate):
+    for query in (karate.adjacency, karate.components):
+        with pytest.raises(InvalidParameterError, match="^unknown adjacency flavor 'sideways'$"):
+            query(1, "sideways")
+
+
 def test_upper_degree_triangle(filled_triangle):
     assert filled_triangle.degree((1, 2), "upper") == 1
 
@@ -442,6 +475,13 @@ def test_degree_unknown_simplex(karate):
         karate.degree((1, 99), "upper")
 
 
+def test_degree_refuses_unknown_flavor_and_lower_degree_of_vertex(karate):
+    with pytest.raises(InvalidParameterError, match="^unknown degree flavor 'sideways'$"):
+        karate.degree((1, 2), "sideways")
+    with pytest.raises(InvalidParameterError, match="^lower degree is undefined for vertices$"):
+        karate.degree((1,), "lower")
+
+
 # -- lower neighborhoods ----------------------------------------------------------
 
 
@@ -451,6 +491,11 @@ def test_triangle_lower_neighborhood(filled_triangle):
 
 def test_path_lower_neighborhood(path_complex):
     assert path_complex.lower_neighborhood((1, 2)) == {(2, 3)}
+
+
+def test_lower_neighborhood_of_vertex_is_refused(karate):
+    with pytest.raises(InvalidParameterError, match="^lower adjacency is undefined for vertices$"):
+        karate.lower_neighborhood((1,))
 
 
 def test_lower_neighborhoods_match_pairwise_enumeration(karate, bowtie):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from simqwalk import (
     InvalidParameterError,
+    NumericalError,
     SimplicialComplex,
     betti_number,
     clique_complex,
@@ -298,6 +299,15 @@ def _assert_spectrum_matches_dense(K, name):
         assert report.eigenvalues.min() >= 0, (name, n)  # the kept values outrank the added zeros
         assert np.abs(report.eigenvalues - want).max() <= 1e-10, (name, n)
         assert report.betti == int(np.count_nonzero(want < 1e-9)), (name, n)
+
+
+def test_failed_eigvalsh_is_a_numerical_error(monkeypatch):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    with pytest.raises(NumericalError, match="^eigendecomposition failed at dimension 1$"):
+        laplacian_spectrum(clique_complex(K4_EDGES, max_dim=3), 1)
 
 
 def test_spectrum_sweep_matches_dense_oracle():

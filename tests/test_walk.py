@@ -1,5 +1,6 @@
 import cmath
 import ctypes
+import itertools
 import random
 import sys
 import threading
@@ -19,6 +20,7 @@ from simqwalk import (
     basis_state,
     build_walk_space,
     clique_complex,
+    coin_operator,
     detect_communities,
     evolve,
     finite_time_average,
@@ -37,7 +39,7 @@ import simqwalk.walk as walk_module
 from simqwalk.walk import _coin_eigenpairs, _group_phases, _real_eigenvectors
 
 import oracles
-from conftest import BOWTIE_EDGES, K4_EDGES, random_clique_complex
+from conftest import BOWTIE_EDGES, K4_EDGES, fake_physical_memory, random_clique_complex
 
 
 def walk_on(K, n=1):
@@ -1210,8 +1212,7 @@ def test_large_residual_is_a_numerical_error(karate, monkeypatch):
 
 def _fake_memory(monkeypatch, mib):
     """Report ``mib`` MiB of physical memory and fail any dense work."""
-    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": mib * 256}
-    monkeypatch.setattr(walk_module.os, "sysconf", memory.get)
+    fake_physical_memory(monkeypatch, mib * 2**20)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense work started")
@@ -1263,6 +1264,62 @@ def test_memory_guard_admits_many_small_components(monkeypatch):
     _fake_memory(monkeypatch, 1)
     with pytest.raises(AssertionError, match="dense work started"):
         unitary_spectrum(walk)
+
+
+def _no_state(component, rows):
+    raise AssertionError("state allocated")
+
+
+def test_memory_guard_refuses_an_evolution_state(monkeypatch):
+    # K_30 at n = 1: one component of 435 * 56 = 24,360 arcs; the planar
+    # state from one edge and its matmul buffer take 16 * 48,720 * 56 bytes
+    # (41.6 MiB), counted whole although the state evolves as column halves
+    walk = walk_on(clique_complex(list(itertools.combinations(range(1, 31), 2)), max_dim=1), 1)
+    assert walk.space.m == 24360 and walk.space.degree((1, 2)) == 56
+    need = 16 * 48720 * 56
+    monkeypatch.setattr(walk_module, "_one_hot", _no_state)
+    fake_physical_memory(monkeypatch, need - 2**20)
+    with pytest.raises(NumericalError, match=r"^evolving 56 arcs from \(1, 2\) on 24360 arcs needs "
+                                             r"0\.0 GiB, more than the 0\.0 GiB of physical memory$"):
+        finite_time_average(walk, (1, 2), 100)
+    fake_physical_memory(monkeypatch, need + 2**20)
+    with pytest.raises(AssertionError, match="state allocated"):
+        finite_time_average(walk, (1, 2), 100)
+
+
+def test_memory_guard_counts_the_profile_table(karate_walk_n1, monkeypatch):
+    # karate n = 1 from (1, 2): 23 initial arcs on the one component of
+    # 1,056 arcs (16 * 2,112 * 23 bytes, 0.7 MiB) and a 5,000-step table over
+    # 78 edges (8 * 5,000 * 78 bytes): 3.7 MiB, refused in 2.7 MiB
+    space = karate_walk_n1.space
+    assert (space.m, space.degree((1, 2)), len(space.active)) == (1056, 23, 78)
+    need = 16 * 2112 * 23 + 8 * 5000 * 78
+    monkeypatch.setattr(walk_module, "_one_hot", _no_state)
+    fake_physical_memory(monkeypatch, need - 2**20)
+    with pytest.raises(NumericalError, match="physical memory"):
+        transition_profile(karate_walk_n1, (1, 2), 5000)
+    fake_physical_memory(monkeypatch, need + 2**20)
+    with pytest.raises(AssertionError, match="state allocated"):
+        transition_profile(karate_walk_n1, (1, 2), 5000)
+
+
+def test_failed_eigh_is_a_numerical_error(karate, monkeypatch):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericalError, match="^eigh of the step operator failed: Eigenvalues did not converge$"):
+        unitary_spectrum(walk_on(karate, 2))
+
+
+def test_coin_without_arcs_is_empty(two_edges):
+    coin = coin_operator(build_walk_space(two_edges, 1))
+    assert coin.shape == (0, 0) and coin.dtype == np.complex128
+
+
+def test_evolve_refuses_a_state_of_another_shape(karate_walk_n1):
+    with pytest.raises(InvalidParameterError, match=r"^state has shape \(3,\), expected \(1056,\)$"):
+        evolve(karate_walk_n1, np.zeros(3), 1)
 
 
 def test_spectrum_without_arcs_is_no_adjacency_error(two_edges):
